@@ -1,6 +1,7 @@
 // Command reproduce regenerates every table and figure of the paper's
-// evaluation section on the simulated machine and writes the results as
-// text tables (and optionally CSV) — the data behind EXPERIMENTS.md.
+// evaluation section on the simulated machine and prints the results as
+// text tables on standard output; with -csv it also writes one CSV file
+// per figure into the given directory.
 //
 // Usage:
 //

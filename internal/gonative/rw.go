@@ -2,69 +2,30 @@ package gonative
 
 // The reader-writer face of the adapter: NewRW("cna-rw") returns a
 // locks.NativeRWMutex — the sync.RWMutex method shape — over any
-// registered RW lock, reusing the same striped thread-slot pool as the
-// mutex adapter. The writer side works exactly like Mutex (claim a
+// registered "-rw" lock, reusing the same striped thread-slot pool as
+// the mutex adapter. The writer side works exactly like Mutex (claim a
 // slot, run the inner protocol, remember the holder). The read side
-// cannot use a single holder field — many goroutines hold the lock
-// together, and sync.RWMutex semantics let a different goroutine
-// RUnlock a hold — so claimed reader identities are kept in a small
-// latched LIFO bag: RLock pushes the Thread it read-locked with,
-// RUnlock pops any one and releases the read hold on it. Which thread
-// retires which hold is immaterial to the inner lock (read holds are
-// counted, not owned); what matters is that every checked-in Thread is
-// RUnlocked exactly once, so each per-socket read indicator sees its
-// increments and decrements in matched pairs.
+// holds no identity at all, the way Mutex's fused fissile path holds
+// none: many goroutines hold the lock together, and sync.RWMutex
+// semantics let a different goroutine RUnlock a hold, so read holds are
+// the inner lock's anonymous holds (rw.Lock.RTryLockAnon). RLock makes
+// one admission attempt on the indicator stripe the goroutine's stack
+// hint picks — no slot, no Thread — and only a reader that must wait
+// for a writer borrows a slot for its park state, adopting the hold
+// into anonymous form and returning the slot before its critical
+// section runs. RUnlock releases any one anonymous hold.
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/locknames"
 	"repro/internal/lockreg"
 	"repro/internal/locks"
-	"repro/internal/spinwait"
+	"repro/internal/locks/rw"
 )
-
-// readerBag holds the Threads of in-flight read acquisitions: a LIFO
-// list under a test-and-set latch (the pool-stripe idiom), linked
-// through a by-thread-ID slice so the bag allocates nothing per
-// operation.
-type readerBag struct {
-	latch atomic.Uint32
-	head  *locks.Thread
-	next  []*locks.Thread // linkage by Thread.ID, guarded by latch
-}
-
-func (b *readerBag) lock() {
-	var w spinwait.Spinner
-	for b.latch.Swap(1) != 0 {
-		w.Pause()
-	}
-}
-
-func (b *readerBag) unlock() { b.latch.Store(0) }
-
-func (b *readerBag) push(th *locks.Thread) {
-	b.lock()
-	b.next[th.ID] = b.head
-	b.head = th
-	b.unlock()
-}
-
-// pop removes any in-flight reader Thread, nil when none are held.
-func (b *readerBag) pop() *locks.Thread {
-	b.lock()
-	th := b.head
-	if th != nil {
-		b.head = b.next[th.ID]
-		b.next[th.ID] = nil
-	}
-	b.unlock()
-	return th
-}
 
 // RWMutex adapts a registered RW lock to the goroutine-native
 // reader-writer contract. Build one with NewRW (or WrapRW); the zero
@@ -72,9 +33,8 @@ func (b *readerBag) pop() *locks.Thread {
 // use.
 type RWMutex struct {
 	noCopy noCopy
-	inner  locks.RWMutex
+	inner  *rw.Lock
 	pool   *Pool
-	rbag   readerBag
 	// holder is the writer-side claim, handed from Lock to Unlock
 	// through the mutex itself (same contract as Mutex.holder).
 	holder *locks.Thread
@@ -141,62 +101,59 @@ func (m *RWMutex) Unlock() {
 	m.pool.release(th)
 }
 
-// RLock implements locks.NativeRWMutex: claim a slot, take the read
-// hold on it, and check the identity into the reader bag for whichever
-// goroutine RUnlocks.
+// RLock implements locks.NativeRWMutex: one anonymous admission
+// attempt; a reader turned away by a writer borrows a slot to wait on,
+// adopts the hold it gets, and returns the slot.
 func (m *RWMutex) RLock() {
+	if m.inner.RTryLockAnon(int(stripeHint())) {
+		return
+	}
 	th := m.pool.claim()
 	if th.Depth() != 0 {
 		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 	}
 	m.inner.RLock(th)
-	m.rbag.push(th)
-}
-
-// RUnlock implements locks.NativeRWMutex: retire any one in-flight
-// read hold (read holds are counted, not owned — sync.RWMutex
-// semantics) and free its slot.
-func (m *RWMutex) RUnlock() {
-	th := m.rbag.pop()
-	if th == nil {
-		panic("gonative: RUnlock of an un-read-locked " + m.inner.Name())
-	}
-	m.inner.RUnlock(th)
+	m.inner.RAdopt(th)
 	m.pool.release(th)
 }
 
-// TryRLock implements locks.NativeRWMutex: fails cleanly when no slot
-// is free or the inner admission is refused.
-func (m *RWMutex) TryRLock() bool {
-	th := m.pool.tryClaim()
-	if th == nil {
-		return false
+// RUnlock implements locks.NativeRWMutex: release any one read hold
+// (read holds are counted, not owned — sync.RWMutex semantics).
+func (m *RWMutex) RUnlock() {
+	if !m.inner.RUnlockAnon(int(stripeHint())) {
+		panic("gonative: RUnlock of an un-read-locked " + m.inner.Name())
 	}
-	if !m.inner.RTryLock(th) {
-		m.pool.release(th)
-		return false
-	}
-	m.rbag.push(th)
-	return true
 }
 
-// RLockTimeout implements locks.NativeRWMutex; slot claim and inner
-// admission share one deadline.
+// TryRLock implements locks.NativeRWMutex: one anonymous admission
+// attempt, so it never fails for lack of a slot.
+func (m *RWMutex) TryRLock() bool {
+	return m.inner.RTryLockAnon(int(stripeHint()))
+}
+
+// RLockTimeout implements locks.NativeRWMutex: RLock whose slot claim
+// and wait share one deadline.
 func (m *RWMutex) RLockTimeout(d time.Duration) bool {
+	if m.TryRLock() {
+		return true
+	}
 	if d <= 0 {
-		return m.TryRLock()
+		return false
 	}
 	deadline := time.Now().Add(d)
 	th := m.pool.claimTimeout(deadline)
 	if th == nil {
 		return false
 	}
-	if !m.inner.RLockTimeout(th, time.Until(deadline)) {
-		m.pool.release(th)
-		return false
+	if th.Depth() != 0 {
+		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 	}
-	m.rbag.push(th)
-	return true
+	ok := m.inner.RLockTimeout(th, time.Until(deadline))
+	if ok {
+		m.inner.RAdopt(th)
+	}
+	m.pool.release(th)
+	return ok
 }
 
 // RLocker implements locks.NativeRWMutex: a sync.Locker over the read
@@ -212,7 +169,7 @@ func (r rlocker) Unlock() { r.m.RUnlock() }
 func (m *RWMutex) Name() string { return m.inner.Name() }
 
 // Inner exposes the adapted RW lock (see Mutex.Inner for the caveats).
-func (m *RWMutex) Inner() locks.RWMutex { return m.inner }
+func (m *RWMutex) Inner() *rw.Lock { return m.inner }
 
 // PoolStats reports (free, capacity) of the adapter's slot pool.
 func (m *RWMutex) PoolStats() (free, capacity int) {
@@ -254,9 +211,9 @@ func MustNewRW(name string, env lockreg.Env, opts ...lockreg.Option) locks.Nativ
 }
 
 // WrapRW builds spec in goroutine-native RW form (see NewRW) with a
-// private slot pool. The pool bounds concurrent acquisitions of both
-// kinds together: readers beyond the pool capacity wait for a slot,
-// not for the lock.
+// private slot pool. Read holds take no slot; the pool bounds
+// concurrent writers plus readers waiting for a writer, and those
+// beyond its capacity wait for a slot, not for the lock.
 func WrapRW(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) (locks.NativeRWMutex, error) {
 	if spec.Native != nil {
 		n := spec.Native(env, opts...)
@@ -268,12 +225,11 @@ func WrapRW(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) (locks.N
 	if env.MaxThreads < 1 {
 		env.MaxThreads = DefaultCapacity()
 	}
-	inner, ok := spec.Build(env, opts...).(locks.RWMutex)
+	inner, ok := spec.Build(env, opts...).(*rw.Lock)
 	if !ok {
 		return nil, notRWError(spec)
 	}
-	pool := NewPool(env.MaxThreads, env.Topology)
-	return &RWMutex{inner: inner, pool: pool, rbag: readerBag{next: make([]*locks.Thread, pool.Capacity())}}, nil
+	return &RWMutex{inner: inner, pool: NewPool(env.MaxThreads, env.Topology)}, nil
 }
 
 // WrapRWWithPool builds spec's RW lock over an existing slot pool (the
@@ -290,11 +246,11 @@ func WrapRWWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lock
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()
 	}
-	inner, ok := spec.Build(env, opts...).(locks.RWMutex)
+	inner, ok := spec.Build(env, opts...).(*rw.Lock)
 	if !ok {
 		return nil, notRWError(spec)
 	}
-	return &RWMutex{inner: inner, pool: pool, rbag: readerBag{next: make([]*locks.Thread, pool.Capacity())}}, nil
+	return &RWMutex{inner: inner, pool: pool}, nil
 }
 
 var (

@@ -136,52 +136,58 @@ func TestNativeRWConformance(t *testing.T) {
 // TestNativeRWParallelReaders pins that the adapter preserves reader
 // parallelism: with capacity slots, capacity readers are observed
 // inside together (an adapter funnelling readers through one identity
-// would serialize them).
+// would serialize them), and so are twice as many, since read holds
+// take no slot.
 func TestNativeRWParallelReaders(t *testing.T) {
+	const capacity = 4
 	for _, spec := range rwSpecs(t) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			const readers = 4
-			m := mustWrapRW(t, spec, readers)
+			for _, readers := range []int32{capacity, 2 * capacity} {
+				m := mustWrapRW(t, spec, capacity)
 
-			var inside, high atomic.Int32
-			deadline := time.Now().Add(5 * time.Second)
-			var wg sync.WaitGroup
-			for w := 0; w < readers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					m.RLock()
-					n := inside.Add(1)
-					for {
-						if h := high.Load(); n <= h || high.CompareAndSwap(h, n) {
-							break
+				// inside counts current holders, arrived every reader
+				// that got in: a reader leaves once all have arrived (or
+				// at the deadline), so high reaches readers only if no
+				// reader had to wait for another to leave.
+				var inside, arrived, high atomic.Int32
+				deadline := time.Now().Add(5 * time.Second)
+				var wg sync.WaitGroup
+				for w := int32(0); w < readers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						m.RLock()
+						n := inside.Add(1)
+						arrived.Add(1)
+						for {
+							if h := high.Load(); n <= h || high.CompareAndSwap(h, n) {
+								break
+							}
 						}
-					}
-					for inside.Load() < readers && time.Now().Before(deadline) {
-						runtime.Gosched()
-						if h := inside.Load(); h > high.Load() {
-							high.Store(h)
+						for arrived.Load() < readers && time.Now().Before(deadline) {
+							runtime.Gosched()
 						}
-					}
-					m.RUnlock()
-				}()
-			}
-			wg.Wait()
-			if got := high.Load(); got != readers {
-				t.Fatalf("%s: concurrent-reader high-water mark %d, want %d", spec.Name, got, readers)
-			}
-			if free, capn, ok := poolFree(m); ok && free != capn {
-				t.Fatalf("%s: %d of %d slots free after quiescence", spec.Name, free, capn)
+						inside.Add(-1)
+						m.RUnlock()
+					}()
+				}
+				wg.Wait()
+				if got := high.Load(); got != readers {
+					t.Fatalf("%s: concurrent-reader high-water mark %d with %d readers over %d slots, want %d", spec.Name, got, readers, capacity, readers)
+				}
+				if free, capn, ok := poolFree(m); ok && free != capn {
+					t.Fatalf("%s: %d of %d slots free after quiescence", spec.Name, free, capn)
+				}
 			}
 		})
 	}
 }
 
 // TestNativeRWCrossGoroutineRUnlock pins the sync.RWMutex semantics
-// the reader bag exists for: a read hold taken on one goroutine may be
-// retired by another.
+// anonymous read holds exist for: a read hold taken on one goroutine
+// may be retired by another.
 func TestNativeRWCrossGoroutineRUnlock(t *testing.T) {
 	m := MustNewRW("CNA-rw", testEnv(4))
 	m.RLock()
@@ -199,6 +205,34 @@ func TestNativeRWCrossGoroutineRUnlock(t *testing.T) {
 	if free, capn, ok := poolFree(m); ok && free != capn {
 		t.Fatalf("%d of %d slots free after cross-goroutine RUnlock", free, capn)
 	}
+}
+
+// TestNativeRWRUnlockOnAnotherStripe: a read hold taken on one
+// indicator stripe and released by a goroutine hinting another must
+// still retire exactly that hold — the writer gets in and no reader is
+// counted — and a release with no hold outstanding still panics.
+func TestNativeRWRUnlockOnAnotherStripe(t *testing.T) {
+	hint := pinHint(t)
+	m := MustNewRW("CNA-rw", testEnv(4)).(*RWMutex)
+
+	*hint = 0
+	m.RLock()
+	*hint = 1
+	m.RUnlock()
+	if !m.TryLock() {
+		t.Fatal("writer TryLock failed after an RUnlock hinting another stripe")
+	}
+	m.Unlock()
+	if n := m.Inner().ReaderCount(); n != 0 {
+		t.Fatalf("ReaderCount = %d after the release, want 0", n)
+	}
+
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "un-read-locked") {
+			t.Fatalf("second RUnlock panicked with %q, want an un-read-locked panic", msg)
+		}
+	}()
+	m.RUnlock()
 }
 
 // TestNativeRWTimed drives the timed faces: reader timeouts against a

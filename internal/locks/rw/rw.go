@@ -32,6 +32,18 @@
 // like every other lock here, and the timed acquires reuse the
 // policies' WaitUntil machinery.
 //
+// # Anonymous read holds
+//
+// sync.RWMutex lets any goroutine release a read hold, and a goroutine
+// has no Thread. RTryLockAnon admits a reader on a caller-chosen stripe
+// without one, RAdopt turns a Thread's read hold into the same form (a
+// reader that had to wait needed the Thread's park state), and
+// RUnlockAnon releases one from any goroutine. Each stripe counts its
+// anonymous holds in a held word beside its indicator, and a release
+// decrements an indicator only after taking a hold off that stripe's
+// held word, so decrements still pair with admitted increments stripe
+// by stripe — the property the writer's drain relies on.
+//
 // # Modes
 //
 // Writer preference (the default): readers also defer while a writer is
@@ -54,10 +66,14 @@ import (
 
 // indicator is one per-socket reader counter, padded to a full cache
 // line so neighbouring sockets' stripes never false-share (asserted by
-// the size test, like core.Node's 64-byte assertion).
+// the size test, like core.Node's 64-byte assertion). held counts the
+// anonymous read holds admitted on this stripe (see RTryLockAnon); it
+// shares the line because every anonymous admission and release writes
+// both words.
 type indicator struct {
-	n atomic.Int64
-	_ [7]uint64
+	n    atomic.Int64
+	held atomic.Int64
+	_    [6]uint64
 }
 
 // paddedState is a waiter.State padded to a full cache line: reader
@@ -154,8 +170,10 @@ func New(gate locks.TimedMutex, sockets, maxThreads int, opts ...Option) *Lock {
 // normally lie below the construction-time socket count; a thread from
 // a wider topology wraps (striping quality degrades, correctness does
 // not).
-func (l *Lock) stripe(t *locks.Thread) int {
-	s := t.Socket
+func (l *Lock) stripe(t *locks.Thread) int { return l.stripeOf(t.Socket) }
+
+// stripeOf wraps any int into the read-indicator range.
+func (l *Lock) stripeOf(s int) int {
 	if uint(s) >= uint(len(l.ind)) {
 		if s %= len(l.ind); s < 0 {
 			s = 0
@@ -217,9 +235,58 @@ func (l *Lock) RLock(t *Thread) {
 // writer.
 func (l *Lock) RUnlock(t *Thread) {
 	t.ReleaseSlot()
-	if l.ind[l.stripe(t)].n.Add(-1) == 0 && l.wactive.Load() != 0 {
+	l.exitRead(l.stripe(t))
+}
+
+// exitRead retires one admitted increment on stripe s.
+func (l *Lock) exitRead(s int) {
+	if l.ind[s].n.Add(-1) == 0 && l.wactive.Load() != 0 {
 		l.wait.Wake(&l.wstate.st)
 	}
+}
+
+// RTryLockAnon makes one reader admission attempt on stripe hint
+// (wrapped into range) with no Thread: no nesting slot, no park state.
+// The hold it takes is anonymous — counted in the stripe's held word —
+// and is released by RUnlockAnon from any goroutine.
+func (l *Lock) RTryLockAnon(hint int) bool {
+	s := l.stripeOf(hint)
+	if !l.tryEnterRead(s) {
+		return false
+	}
+	l.ind[s].held.Add(1)
+	return true
+}
+
+// RAdopt turns t's read hold (from RLock, RTryLock or RLockTimeout)
+// into an anonymous one: t's nesting slot is released, t may be reused
+// at once, and the hold is released by RUnlockAnon.
+func (l *Lock) RAdopt(t *Thread) {
+	l.ind[l.stripe(t)].held.Add(1)
+	t.ReleaseSlot()
+}
+
+// RUnlockAnon releases one anonymous read hold, trying stripe hint
+// first and then the others in order. A stripe's indicator is
+// decremented only after one of its anonymous holds has been taken off
+// its held word, so every decrement pairs with an admitted increment on
+// the same stripe: a blip's transient increment is never released as a
+// hold, and no stripe goes negative under the writer's stripe-by-stripe
+// drain. false means no anonymous hold was outstanding; no indicator
+// was touched.
+func (l *Lock) RUnlockAnon(hint int) bool {
+	s := l.stripeOf(hint)
+	for i := range l.ind {
+		j := (s + i) % len(l.ind)
+		held := &l.ind[j].held
+		for h := held.Load(); h > 0; h = held.Load() {
+			if held.CompareAndSwap(h, h-1) {
+				l.exitRead(j)
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // RTryLock implements locks.RWMutex: one admission attempt, no

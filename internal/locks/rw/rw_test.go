@@ -22,6 +22,11 @@ func TestIndicatorPadding(t *testing.T) {
 	if off := unsafe.Offsetof(indicator{}.n); off != 0 {
 		t.Fatalf("indicator counter at offset %d, want 0 (line-aligned in the stripe array)", off)
 	}
+	// The anonymous-hold count lives in the indicator's own padding: the
+	// line every anonymous admission and release already writes.
+	if off := unsafe.Offsetof(indicator{}.held); off+unsafe.Sizeof(indicator{}.held) > 64 {
+		t.Fatalf("indicator held count at offset %d, want it inside the 64-byte line", off)
+	}
 	// Adjacent stripes must land one full line apart in the slice.
 	l := New(locks.NewStd(), 4, 4)
 	for i := 1; i < len(l.ind); i++ {
@@ -81,6 +86,72 @@ func TestBasicRW(t *testing.T) {
 
 	l.RLock(t1)
 	l.RUnlock(t1)
+}
+
+// TestAnonReleasePairsByStripe pins the pairing invariant of anonymous
+// read holds with the interleaving that breaks a release decrementing
+// any positive stripe: a hold on stripe 1, and a reader's transient
+// increment on stripe 0 that it has not yet blipped out. A release
+// hinted at stripe 0 must skip it — stripe 0 holds no anonymous hold —
+// or the blip's own decrement would drive stripe 0 negative and leave
+// stripe 1 held forever, hanging every writer's drain.
+func TestAnonReleasePairsByStripe(t *testing.T) {
+	l := New(locks.NewStd(), 2, 2)
+	if !l.RTryLockAnon(1) {
+		t.Fatal("anonymous admission refused on an idle lock")
+	}
+	l.ind[0].n.Add(1) // a reader's increment, recheck still pending
+
+	if !l.RUnlockAnon(0) {
+		t.Fatal("release found no anonymous hold with one outstanding")
+	}
+	if n0, n1 := l.ind[0].n.Load(), l.ind[1].n.Load(); n0 != 1 || n1 != 0 {
+		t.Fatalf("indicators (%d, %d) after the release, want (1, 0): the release must retire stripe 1's hold, not stripe 0's blip", n0, n1)
+	}
+	l.ind[0].n.Add(-1) // the reader blips out
+	for i := range l.ind {
+		if n := l.ind[i].n.Load(); n < 0 {
+			t.Fatalf("stripe %d went negative: %d", i, n)
+		}
+	}
+
+	w := locks.NewThread(0, 0)
+	if !l.TryLock(w) {
+		t.Fatal("writer TryLock refused after every hold was released")
+	}
+	l.Unlock(w)
+	done := make(chan struct{})
+	go func() {
+		l.Lock(w) // drains every stripe
+		l.Unlock(w)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer drain did not complete")
+	}
+
+	// A release with no anonymous hold outstanding fails and leaves the
+	// indicators alone, even with a Thread's hold counted on them.
+	r := locks.NewThread(1, 0)
+	l.RLock(r)
+	if l.RUnlockAnon(0) {
+		t.Fatal("release succeeded with no anonymous hold outstanding")
+	}
+	if n := l.ReaderCount(); n != 1 {
+		t.Fatalf("ReaderCount = %d after a failed release, want the Thread's 1", n)
+	}
+
+	// Adopted, the Thread's hold becomes anonymous: the Thread is free
+	// again and any hint releases the hold.
+	l.RAdopt(r)
+	if r.Depth() != 0 {
+		t.Fatalf("adopted reader still at nesting depth %d", r.Depth())
+	}
+	if !l.RUnlockAnon(5) || l.ReaderCount() != 0 {
+		t.Fatalf("releasing the adopted hold left ReaderCount = %d, want 0", l.ReaderCount())
+	}
 }
 
 // TestWriterTimeoutBackout pins the failure class where a writer's

@@ -245,9 +245,10 @@ func NewRWMutex(name string, opts ...BuildOption) (NativeRWMutex, error) {
 	return gonative.NewRW(name, Env{}, opts...)
 }
 
-// NewRWMutexIn is NewRWMutex with an explicit environment; the slot
-// pool bounds concurrent acquisitions of both kinds together (readers
-// beyond the capacity wait for a slot, not for the lock).
+// NewRWMutexIn is NewRWMutex with an explicit environment. Read holds
+// take no slot; the slot pool bounds concurrent writers plus readers
+// waiting for a writer, and those beyond the capacity wait for a slot,
+// not for the lock.
 func NewRWMutexIn(name string, env Env, opts ...BuildOption) (NativeRWMutex, error) {
 	return gonative.NewRW(name, env, opts...)
 }
