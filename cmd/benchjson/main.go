@@ -486,9 +486,9 @@ func uncontendedLatency(spec lockreg.Spec, env lockreg.Env, budget time.Duration
 // nativeUncontendedLatency is uncontendedLatency through the
 // goroutine-native adapter: the same discipline, with each op paying
 // the adapter's full slot claim/release on top of the lock protocol.
-// The one-slot pool makes the claim a guaranteed stripe hit, i.e. this
-// measures the adapter's floor, the number the 2x acceptance bound in
-// the issue tracker gates on.
+// The one-slot pool makes the claim a guaranteed first-probe hit, i.e.
+// this measures the adapter's floor, the number the 2x acceptance bound
+// in the issue tracker gates on.
 func nativeUncontendedLatency(spec lockreg.Spec, env lockreg.Env, budget time.Duration) harness.Result {
 	e := env
 	e.MaxThreads = 1

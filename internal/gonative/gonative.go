@@ -8,32 +8,28 @@
 // socket, a nesting counter. Goroutines have none of that — they
 // migrate freely between OS threads and expose no usable id — so the
 // adapter supplies identity per acquisition instead of per worker:
-// Lock claims a *locks.Thread from a striped freelist of preallocated
-// slots, runs the real lock's protocol on it, and remembers it in the
-// (held) mutex; Unlock releases the inner lock on that thread and
-// returns the slot. Compact Java Monitors (Dice & Kogan 2021) hides
-// thread identity behind the lock the same way to make CNA a drop-in
-// replacement for synchronized blocks.
+// Lock claims a *locks.Thread from a pool of preallocated slots, runs
+// the real lock's protocol on it, and remembers it in the (held)
+// mutex; Unlock releases the inner lock on that thread and returns the
+// slot. Compact Java Monitors (Dice & Kogan 2021) hides thread identity
+// behind the lock the same way to make CNA a drop-in replacement for
+// synchronized blocks.
 //
 // # The slot pool
 //
-// Slots live in per-socket stripes (socket-aware via numa.Placement
-// when the Env carries a topology; the default topology round-robins
-// workers across its sockets, which degrades to plain round-robin
-// striping). A claim starts at the stripe hinted by the goroutine's
-// stack address — cheap, goroutine-correlated, and stable enough that
-// repeat acquisitions from the same goroutine reuse the same recently
-// freed slot, keeping its queue-node cache lines hot — and falls over
-// to the other stripes when the hinted one is empty. Freed slots are
-// pushed LIFO onto their home stripe for the same reason. Each stripe
-// is guarded by a tiny test-and-set latch around three instructions;
-// an atomic head peek skips empty stripes without taking it. On top of
-// the pool, each private-pool adapter keeps a one-slot reclaim cache:
-// Unlock parks its slot in the mutex with one CAS and the next Lock
-// swaps it out with one exchange, so the steady-state adapter cost is
-// two atomic RMWs per lock/unlock pair (slot-starved claims poll the
-// cache alongside the stripes, so a cached slot never strands a
-// waiter). The contended path allocates nothing.
+// The pool is a fixed set of slots, each padded to whole cache lines
+// and self-contained: its busy word, its Thread and that Thread's PRNG
+// state (which CNA's keep-lock-local draw writes on every handover) sit
+// on lines no other slot writes. A claim starts at the slot a hash of
+// the goroutine's stack address picks — cheap, goroutine-correlated,
+// and stable, so repeat acquisitions from one goroutine reclaim the
+// very slot it just released, its queue-node cache lines still hot —
+// and CASes that slot's busy word from 0 to 1, probing linearly on
+// failure. A release is one store of 0 to the slot's own busy word.
+// Claimants share no latch and no list head. Each slot's socket is
+// fixed at construction from numa.Placement (the default topology
+// round-robins slots across its sockets). The contended path allocates
+// nothing.
 //
 // When every slot is claimed, Lock waits (bounded spin, then scheduler
 // yields) for an Unlock to free one — the adapter never hands out more
@@ -58,72 +54,34 @@ import (
 	"repro/internal/locks"
 	"repro/internal/locks/fissile"
 	"repro/internal/numa"
+	"repro/internal/prng"
 	"repro/internal/spinwait"
 )
 
-// slot is one pool entry: a preallocated Thread plus its freelist link.
-// The link is guarded by the home stripe's latch.
+// slot is one pool entry: the claim word, the Thread handed to the
+// inner lock, and that Thread's PRNG state, padded so that the slot
+// fills whole cache lines and no two slots' writes share one.
 type slot struct {
-	th     *locks.Thread
-	stripe int32
-	next   *slot
+	busy atomic.Uint32
+	th   locks.Thread
+	rng  prng.Xoroshiro
+	_    [56]byte
 }
 
-// stripe is one freelist shard, padded to its own cache line so
-// neighbouring stripes' latches and heads do not false-share.
-type stripe struct {
-	latch atomic.Uint32
-	head  atomic.Pointer[slot]
-	_     [5]uint64
-}
-
-// lock acquires the stripe latch. The critical sections under it are a
-// handful of instructions, so contention resolves in the spinner's
-// cheap first phase; the spinner still escalates to scheduler yields,
-// keeping the pool live at GOMAXPROCS=1.
-func (s *stripe) lock() {
-	var w spinwait.Spinner
-	for s.latch.Swap(1) != 0 {
-		w.Pause()
-	}
-}
-
-func (s *stripe) unlock() { s.latch.Store(0) }
-
-// pop removes the most recently freed slot, or returns nil. The
-// latch-free head peek keeps scanning past empty stripes cheap.
-func (s *stripe) pop() *slot {
-	if s.head.Load() == nil {
-		return nil
-	}
-	s.lock()
-	sl := s.head.Load()
-	if sl != nil {
-		s.head.Store(sl.next)
-	}
-	s.unlock()
-	return sl
-}
-
-// push returns a slot to the stripe, LIFO so its node cache stays hot.
-func (s *stripe) push(sl *slot) {
-	s.lock()
-	sl.next = s.head.Load()
-	s.head.Store(sl)
-	s.unlock()
-}
-
-// Pool is a striped freelist of preallocated *locks.Thread slots shared
-// by the acquisitions of one adapted lock (or of many, when adapters
-// are built over one pool via WrapWithPool — a thread occupies at most
-// one slot per acquisition regardless of which lock it is for).
+// Pool is a fixed set of preallocated Thread slots shared by the
+// acquisitions of one adapted lock (or of many, when adapters are built
+// over one pool via WrapWithPool — a goroutine occupies at most one
+// slot per acquisition regardless of which lock it is for). The slots
+// are allocated one by one: a slot-sized object starts on a boundary of
+// its own size, whereas the runtime prefixes a large array holding
+// pointers with a header word that would skew every slot off its lines.
+// The pointer array itself is written only at construction.
 type Pool struct {
-	stripes []stripe
-	slots   []slot
+	slots []*slot
 }
 
-// NewPool preallocates capacity Thread slots striped across the
-// topology's sockets. Capacities below 1 are raised to 1.
+// NewPool preallocates capacity Thread slots, each on the socket
+// numa.Placement spreads it to. Capacities below 1 are raised to 1.
 func NewPool(capacity int, topo numa.Topology) *Pool {
 	if capacity < 1 {
 		capacity = 1
@@ -132,71 +90,61 @@ func NewPool(capacity int, topo numa.Topology) *Pool {
 		topo = numa.TwoSocketXeonE5()
 	}
 	place := numa.NewPlacement(topo, capacity, numa.Spread)
-	p := &Pool{
-		stripes: make([]stripe, topo.Sockets),
-		slots:   make([]slot, capacity),
-	}
-	// Push in reverse so low thread IDs end up on top of each stripe's
-	// LIFO — the IDs whose queue nodes sit at the front of node arrays.
-	for i := capacity - 1; i >= 0; i-- {
-		socket := place.SocketOf(i)
-		sl := &p.slots[i]
-		sl.th = locks.NewThread(i, socket)
-		sl.stripe = int32(socket)
-		p.stripes[socket].push(sl)
+	p := &Pool{slots: make([]*slot, capacity)}
+	for i := range p.slots {
+		sl := new(slot)
+		sl.th.Init(i, place.SocketOf(i), &sl.rng)
+		p.slots[i] = sl
 	}
 	return p
 }
 
-// stripeHint derives a cheap goroutine-correlated stripe index from the
-// goroutine's stack address: stacks are goroutine-private and mostly
-// stable, so one goroutine keeps hitting one stripe (and, LIFO, often
-// the very slot it just released) without any shared counter to
-// contend on. Only the hint quality depends on this — any value is
-// correct. A variable so the cross-stripe reclaim tests can pin the
-// hint.
-var stripeHint = func() uintptr {
+// hint hashes the calling goroutine's stack address into a cheap
+// goroutine-correlated 32-bit value. Goroutine stacks sit back to back
+// in 2 KB (or, once grown, larger) blocks, so their raw address bits
+// differ only in small strides; a multiplicative hash of addr>>11 that
+// keeps the product's high bits spreads such neighbours over the whole
+// range, while one goroutine at one call depth keeps hashing alike.
+// Only the hint quality depends on this — any value is correct. A
+// variable so tests can pin it.
+var hint = func() uint32 {
 	var probe byte
-	return uintptr(unsafe.Pointer(&probe)) >> 10
+	return hashStack(uintptr(unsafe.Pointer(&probe)))
 }
 
-// tryClaim pops a free Thread slot: one pass over the stripes, nil
-// when every slot is busy (the adapter's claim loop and TryLock both
-// build on this; TryLock must not block, not even on slots). The
-// thread's socket identity is restamped to the stripe it was popped
-// from — stripes are per-socket, so a slot that migrated stripes (see
-// release) must not keep advertising its construction-time socket to
-// the NUMA-aware locks.
+// hashStack is hint's hash, apart so tests can feed it synthetic stack
+// addresses.
+func hashStack(addr uintptr) uint32 {
+	return uint32(uint64(addr>>11) * 0x9e3779b97f4a7c15 >> 32)
+}
+
+// start maps a hint onto a slot index in [0, n) by its high bits.
+func start(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
+
+// tryClaim claims a free Thread slot: one pass over the slots from the
+// hinted one, nil when every slot is busy (the claim loops and TryLock
+// both build on this; TryLock must not block, not even on slots). The
+// load in front of the CAS keeps a probe past busy slots read-only.
 func (p *Pool) tryClaim() *locks.Thread {
-	h := int(stripeHint())
-	n := len(p.stripes)
-	for i := 0; i < n; i++ {
-		j := (h + i) % n
-		if sl := p.stripes[j].pop(); sl != nil {
-			sl.th.Socket = j
-			return sl.th
+	n := len(p.slots)
+	i := start(hint(), n)
+	for range n {
+		sl := p.slots[i]
+		if sl.busy.Load() == 0 && sl.busy.CompareAndSwap(0, 1) {
+			return &sl.th
+		}
+		if i++; i == n {
+			i = 0
 		}
 	}
 	return nil
 }
 
-// release returns a claimed Thread to the stripe the releasing
-// goroutine's hint points at now — re-probed per release, not the
-// stamp from the claim. A goroutine that migrated between acquires
-// (or a critical section handed across goroutines) parks the slot
-// where the *next* acquire from here will look first, instead of
-// pinning it to a stale home; tryClaim restamps the socket on the way
-// back out.
-func (p *Pool) release(th *locks.Thread) {
-	sl := &p.slots[th.ID]
-	h := int(stripeHint()) % len(p.stripes)
-	sl.stripe = int32(h)
-	p.stripes[h].push(sl)
-}
+// release returns a claimed Thread: one store to its slot's busy word.
+func (p *Pool) release(th *locks.Thread) { p.slots[th.ID].busy.Store(0) }
 
-// claim pops a free slot, waiting (bounded spin, then scheduler
-// yields) for a release when every slot is busy. The adapters without
-// a reclaim cache (the RW adapter's paths) claim through this.
+// claim claims a free slot, waiting (bounded spin, then scheduler
+// yields) for a release when every slot is busy.
 func (p *Pool) claim() *locks.Thread {
 	if th := p.tryClaim(); th != nil {
 		return th
@@ -231,19 +179,16 @@ func (p *Pool) claimTimeout(deadline time.Time) *locks.Thread {
 // Capacity reports the number of preallocated slots.
 func (p *Pool) Capacity() int { return len(p.slots) }
 
-// Free counts currently free slots (taking each stripe latch), for the
-// leak checks in tests: after quiescence Free must equal Capacity.
+// Free counts currently free slots, for the leak checks in tests: after
+// quiescence Free must equal Capacity.
 func (p *Pool) Free() int {
-	total := 0
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.lock()
-		for sl := s.head.Load(); sl != nil; sl = sl.next {
-			total++
+	free := 0
+	for _, sl := range p.slots {
+		if sl.busy.Load() == 0 {
+			free++
 		}
-		s.unlock()
 	}
-	return total
+	return free
 }
 
 // noCopy makes `go vet`'s copylocks analysis flag any copy of the
@@ -271,20 +216,9 @@ type Mutex struct {
 	// section runs, since a Fissile critical section holds only the
 	// outer word). This is what closes the adapter-overhead gap to
 	// sync.Mutex: the common case allocates nothing and touches no
-	// freelist.
+	// slot.
 	fast *fissile.Lock
 	pool *Pool
-	// cache is a one-slot reclaim fast path: Unlock parks its slot here
-	// (one CAS) and the next Lock swaps it out (one exchange) instead of
-	// both taking a stripe latch — the steady-state adapter cost is two
-	// atomic RMWs per lock/unlock pair, which is what keeps go-native
-	// CNA within 2x of the raw *Thread path. Slot-starved Lock calls
-	// poll the cache alongside the pool, so a cached slot can never
-	// strand a waiter. Disabled (shared=true) for adapters over a shared
-	// pool, where a slot parked in an idle adapter would steal capacity
-	// from its siblings.
-	cache  atomic.Pointer[locks.Thread]
-	shared bool
 	// holder is the Thread the current acquisition claimed, handed from
 	// Lock to Unlock through the mutex itself. It is a plain field: it
 	// is written only after the inner lock is acquired and read only
@@ -293,61 +227,6 @@ type Mutex struct {
 	// sync.Mutex, handing one critical section between goroutines
 	// requires the caller's own synchronization.
 	holder *locks.Thread
-}
-
-// claim obtains a thread slot: the reclaim cache first, then the pool,
-// then a bounded-spin wait polling both (an Unlock must eventually
-// publish a slot to one of them).
-func (m *Mutex) claim() *locks.Thread {
-	if th := m.cache.Swap(nil); th != nil {
-		return th
-	}
-	if th := m.pool.tryClaim(); th != nil {
-		return th
-	}
-	var w spinwait.Spinner
-	for {
-		w.Pause()
-		if th := m.cache.Swap(nil); th != nil {
-			return th
-		}
-		if th := m.pool.tryClaim(); th != nil {
-			return th
-		}
-	}
-}
-
-// claimTimeout is claim with a deadline: nil when no Unlock freed a
-// slot in time. The clock probes are amortized as in locks.PollTimeout.
-func (m *Mutex) claimTimeout(deadline time.Time) *locks.Thread {
-	if th := m.cache.Swap(nil); th != nil {
-		return th
-	}
-	if th := m.pool.tryClaim(); th != nil {
-		return th
-	}
-	var w spinwait.Spinner
-	for n := 1; ; n++ {
-		w.Pause()
-		if th := m.cache.Swap(nil); th != nil {
-			return th
-		}
-		if th := m.pool.tryClaim(); th != nil {
-			return th
-		}
-		if (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
-			return nil
-		}
-	}
-}
-
-// put returns a slot: to the empty reclaim cache when allowed, else to
-// the pool.
-func (m *Mutex) put(th *locks.Thread) {
-	if !m.shared && m.cache.CompareAndSwap(nil, th) {
-		return
-	}
-	m.pool.release(th)
 }
 
 // Lock implements locks.NativeMutex (and sync.Locker): claim a thread
@@ -360,15 +239,15 @@ func (m *Mutex) Lock() {
 		if f.TryFast() {
 			return
 		}
-		th := m.claim()
+		th := m.pool.claim()
 		if th.Depth() != 0 {
 			panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 		}
 		f.LockSlow(th)
-		m.put(th)
+		m.pool.release(th)
 		return
 	}
-	th := m.claim()
+	th := m.pool.claim()
 	if th.Depth() != 0 {
 		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 	}
@@ -387,14 +266,12 @@ func (m *Mutex) TryLock() bool {
 		// of a slot either.
 		return f.TryFast()
 	}
-	th := m.cache.Swap(nil)
+	th := m.pool.tryClaim()
 	if th == nil {
-		if th = m.pool.tryClaim(); th == nil {
-			return false
-		}
+		return false
 	}
 	if !m.inner.TryLock(th) {
-		m.put(th)
+		m.pool.release(th)
 		return false
 	}
 	m.holder = th
@@ -418,7 +295,7 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 			return true
 		}
 		deadline := time.Now().Add(d)
-		th := m.claimTimeout(deadline)
+		th := m.pool.claimTimeout(deadline)
 		if th == nil {
 			return false
 		}
@@ -426,11 +303,11 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 			panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 		}
 		ok := f.LockSlowTimeout(th, time.Until(deadline))
-		m.put(th)
+		m.pool.release(th)
 		return ok
 	}
 	deadline := time.Now().Add(d)
-	th := m.claimTimeout(deadline)
+	th := m.pool.claimTimeout(deadline)
 	if th == nil {
 		return false
 	}
@@ -444,7 +321,7 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 		ok = locks.PollTimeout(func() bool { return m.inner.TryLock(th) }, time.Until(deadline))
 	}
 	if !ok {
-		m.put(th)
+		m.pool.release(th)
 		return false
 	}
 	m.holder = th
@@ -483,7 +360,7 @@ func (m *Mutex) Unlock() {
 	}
 	m.holder = nil
 	m.inner.Unlock(th)
-	m.put(th)
+	m.pool.release(th)
 }
 
 // Name implements locks.NativeMutex: the inner lock's registry name.
@@ -494,15 +371,9 @@ func (m *Mutex) Name() string { return m.inner.Name() }
 // the adapter is in use.
 func (m *Mutex) Inner() locks.Mutex { return m.inner }
 
-// PoolStats reports (free, capacity) of the adapter's slot pool; a slot
-// parked in the reclaim cache counts as free (it is claimable by any
-// Lock on this adapter).
+// PoolStats reports (free, capacity) of the adapter's slot pool.
 func (m *Mutex) PoolStats() (free, capacity int) {
-	free = m.pool.Free()
-	if m.cache.Load() != nil {
-		free++
-	}
-	return free, m.pool.Capacity()
+	return m.pool.Free(), m.pool.Capacity()
 }
 
 // DefaultCapacity is the slot-pool size New uses when the Env carries
@@ -540,8 +411,7 @@ func MustNew(name string, env lockreg.Env, opts ...lockreg.Option) locks.TimedNa
 }
 
 // Wrap builds spec in goroutine-native form (see New) with a private
-// slot pool (and the one-slot reclaim cache enabled — the pool is not
-// shared, so a parked slot steals capacity from nobody).
+// slot pool.
 func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.TimedNativeMutex {
 	if spec.Native != nil {
 		return spec.Native(env, opts...)
@@ -549,13 +419,13 @@ func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.Time
 	if env.MaxThreads < 1 {
 		env.MaxThreads = DefaultCapacity()
 	}
-	return newMutex(spec.Build(env, opts...), NewPool(env.MaxThreads, env.Topology), false)
+	return newMutex(spec.Build(env, opts...), NewPool(env.MaxThreads, env.Topology))
 }
 
 // newMutex assembles an adapter, devirtualizing a Fissile inner lock
 // into the concrete fast-path field (see Mutex.fast).
-func newMutex(inner locks.Mutex, pool *Pool, shared bool) *Mutex {
-	m := &Mutex{inner: inner, pool: pool, shared: shared}
+func newMutex(inner locks.Mutex, pool *Pool) *Mutex {
+	m := &Mutex{inner: inner, pool: pool}
 	if f, ok := inner.(*fissile.Lock); ok {
 		m.fast = f
 	}
@@ -571,7 +441,7 @@ func WrapWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lockre
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()
 	}
-	return newMutex(spec.Build(env, opts...), pool, true)
+	return newMutex(spec.Build(env, opts...), pool)
 }
 
 var _ locks.NativeMutex = (*Mutex)(nil)

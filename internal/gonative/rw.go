@@ -2,7 +2,7 @@ package gonative
 
 // The reader-writer face of the adapter: NewRW("cna-rw") returns a
 // locks.NativeRWMutex — the sync.RWMutex method shape — over any
-// registered "-rw" lock, reusing the same striped thread-slot pool as
+// registered "-rw" lock, reusing the same padded thread-slot pool as
 // the mutex adapter. The writer side works exactly like Mutex (claim a
 // slot, run the inner protocol, remember the holder). The read side
 // holds no identity at all, the way Mutex's fused fissile path holds
@@ -105,7 +105,7 @@ func (m *RWMutex) Unlock() {
 // attempt; a reader turned away by a writer borrows a slot to wait on,
 // adopts the hold it gets, and returns the slot.
 func (m *RWMutex) RLock() {
-	if m.inner.RTryLockAnon(int(stripeHint())) {
+	if m.inner.RTryLockAnon(int(hint())) {
 		return
 	}
 	th := m.pool.claim()
@@ -120,7 +120,7 @@ func (m *RWMutex) RLock() {
 // RUnlock implements locks.NativeRWMutex: release any one read hold
 // (read holds are counted, not owned — sync.RWMutex semantics).
 func (m *RWMutex) RUnlock() {
-	if !m.inner.RUnlockAnon(int(stripeHint())) {
+	if !m.inner.RUnlockAnon(int(hint())) {
 		panic("gonative: RUnlock of an un-read-locked " + m.inner.Name())
 	}
 }
@@ -128,7 +128,7 @@ func (m *RWMutex) RUnlock() {
 // TryRLock implements locks.NativeRWMutex: one anonymous admission
 // attempt, so it never fails for lack of a slot.
 func (m *RWMutex) TryRLock() bool {
-	return m.inner.RTryLockAnon(int(stripeHint()))
+	return m.inner.RTryLockAnon(int(hint()))
 }
 
 // RLockTimeout implements locks.NativeRWMutex: RLock whose slot claim

@@ -300,6 +300,13 @@ func (l *HMCS) LockTimeout(t *locks.Thread, d time.Duration) bool {
 func (l *HMCS) TryLock(t *locks.Thread) bool {
 	lf := l.leaves[t.Socket]
 	me := &l.nodes[t.ID][t.AcquireSlot()]
+	if me.tstate.Load() != tsClean {
+		// Node still queued from a timed-out acquire: clearing its next
+		// link would cut the queue behind it, stranding the release walk
+		// and every waiter past the tombstone. Fail fast instead.
+		t.ReleaseSlot()
+		return false
+	}
 	me.next.Store(nil)
 	me.status.Store(cohortStart)
 	if !lf.tail.CompareAndSwap(nil, me) {

@@ -1,8 +1,10 @@
 package hmcs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
@@ -82,15 +84,44 @@ func TestZeroSocketsPanics(t *testing.T) {
 	New(0, 1, 1)
 }
 
+// TestLocalHandoverDominates: HMCS passes the lock within the holder's
+// socket before crossing to another, whatever the arrival order. The
+// queue is built deterministically, each arrival linked before the
+// next: while a socket-0 thread holds the lock, a socket-1 thread
+// queues first (its socket's representative, in the root queue) and two
+// socket-0 threads queue after it (in socket 0's leaf). The release
+// chain must serve both socket-0 threads before the earlier socket-1
+// arrival: two local handovers, then one remote.
 func TestLocalHandoverDominates(t *testing.T) {
-	place := numa.NewPlacement(numa.TwoSocketXeonE5(), 4, numa.Spread)
 	lock := New(2, 4, DefaultThreshold)
 	lock.EnableStats()
-	hammer(t, lock, place, 4, 500)
-	if frac := lock.Handovers().RemoteFraction(); frac > 0.5 {
-		local, remote := lock.Handovers().Counts()
-		t.Errorf("remote fraction %.2f (local=%d remote=%d): HMCS not keeping lock local",
-			frac, local, remote)
+	holder := locks.NewThread(0, 0)
+	lock.Lock(holder)
+
+	served := make(chan int, 3)
+	enqueue := func(th *locks.Thread, linked func() bool) {
+		go func() {
+			lock.Lock(th)
+			served <- th.ID
+			lock.Unlock(th)
+		}()
+		for !linked() {
+			runtime.Gosched()
+		}
+	}
+	leaf0, leaf1 := lock.leaves[0], lock.leaves[1]
+	enqueue(locks.NewThread(1, 1), func() bool { return leaf0.root.next.Load() == &leaf1.root })
+	enqueue(locks.NewThread(2, 0), func() bool { return lock.nodes[0][0].next.Load() == &lock.nodes[2][0] })
+	enqueue(locks.NewThread(3, 0), func() bool { return lock.nodes[2][0].next.Load() == &lock.nodes[3][0] })
+	lock.Unlock(holder)
+
+	for i, want := range []int{2, 3, 1} {
+		if got := <-served; got != want {
+			t.Fatalf("acquisition %d went to thread %d, want %d (same-socket waiters first)", i+1, got, want)
+		}
+	}
+	if local, remote := lock.Handovers().Counts(); local != 2 || remote != 1 {
+		t.Errorf("handovers local=%d remote=%d, want 2 and 1: HMCS not keeping lock local", local, remote)
 	}
 }
 
@@ -117,4 +148,61 @@ func TestNestedHMCS(t *testing.T) {
 	if counter != 600 {
 		t.Fatalf("counter = %d, want 600", counter)
 	}
+}
+
+// TestTryLockLeavesQueuedTombstoneAlone pins the timed-abandonment
+// hang: a thread whose timed acquire abandoned its leaf node leaves the
+// node linked in the socket queue until a release walk retires it. A
+// TryLock through the same nesting slot must fail fast without touching
+// that node — clearing its next link cuts the queue behind it, so the
+// holder's release walk stops at the tombstone, spins forever waiting
+// for a successor link that was already published, and the waiter
+// behind it never wakes.
+func TestTryLockLeavesQueuedTombstoneAlone(t *testing.T) {
+	lock := New(1, 3, DefaultThreshold)
+	holder, timed, waiter := locks.NewThread(0, 0), locks.NewThread(1, 0), locks.NewThread(2, 0)
+	lock.Lock(holder)
+
+	if lock.LockTimeout(timed, time.Millisecond) {
+		t.Fatal("LockTimeout succeeded on a held lock")
+	}
+	tomb := &lock.nodes[timed.ID][0]
+	if got := tomb.tstate.Load(); got != tsAbandoned {
+		t.Fatalf("timed-out node tstate = %d, want tsAbandoned", got)
+	}
+
+	acquired := make(chan struct{})
+	go func() {
+		lock.Lock(waiter)
+		close(acquired)
+	}()
+	behind := &lock.nodes[waiter.ID][0]
+	for tomb.next.Load() != behind {
+		runtime.Gosched() // until the waiter has linked in behind the tombstone
+	}
+
+	if lock.TryLock(timed) {
+		t.Fatal("TryLock succeeded on a held lock")
+	}
+	if timed.Depth() != 0 {
+		t.Fatalf("failed TryLock left nesting depth %d", timed.Depth())
+	}
+	if tomb.next.Load() != behind {
+		t.Fatal("TryLock rewrote the queued tombstone's next link")
+	}
+
+	lock.Unlock(holder)
+	select {
+	case <-acquired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter behind the tombstone never acquired the lock")
+	}
+	lock.Unlock(waiter)
+	if got := tomb.tstate.Load(); got != tsClean {
+		t.Fatalf("tombstone tstate = %d after the release walk, want tsClean", got)
+	}
+	if !lock.TryLock(timed) {
+		t.Fatal("TryLock failed on a free lock after the tombstone was retired")
+	}
+	lock.Unlock(timed)
 }

@@ -77,7 +77,18 @@ type Thread struct {
 // NewThread returns a Thread with the given id and socket and a
 // deterministic per-thread PRNG.
 func NewThread(id, socket int) *Thread {
-	return &Thread{ID: id, Socket: socket, RNG: prng.New(uint64(id)*0x9e3779b97f4a7c15 + 0xdeadbeef)}
+	t := new(Thread)
+	t.Init(id, socket, new(prng.Xoroshiro))
+	return t
+}
+
+// Init resets t in place to a fresh Thread with the given id and
+// socket, seeding rng exactly as NewThread seeds its generator and
+// making it t's RNG. It lets a pool embed each Thread and its PRNG
+// state by value, on cache lines of its own.
+func (t *Thread) Init(id, socket int, rng *prng.Xoroshiro) {
+	rng.Seed(uint64(id)*0x9e3779b97f4a7c15 + 0xdeadbeef)
+	*t = Thread{ID: id, Socket: socket, RNG: rng}
 }
 
 // AcquireSlot reserves a nesting slot and returns its index. It is meant

@@ -34,7 +34,9 @@ type slNode struct {
 // with one writer; writers must be serialised externally (the DB mutex
 // does this, as in leveldb).
 type SkipList struct {
-	head   *slNode
+	head *slNode
+	// level is the list's height. Only the writer reads it: readers walk
+	// from maxLevel, where the head's links above the height are nil.
 	level  int
 	length int
 	rng    *prng.Xoroshiro
@@ -58,11 +60,12 @@ func (s *SkipList) randomLevel() int {
 	return lvl
 }
 
-// findGreaterOrEqual locates the first node with key >= key, filling
-// prev with the rightmost node before it on every level.
-func (s *SkipList) findGreaterOrEqual(key uint64, prev *[maxLevel]*slNode) *slNode {
+// findGreaterOrEqual locates the first node with key >= key, walking
+// down from level top-1 and filling prev with the rightmost node before
+// it on every level.
+func (s *SkipList) findGreaterOrEqual(key uint64, top int, prev *[maxLevel]*slNode) *slNode {
 	x := s.head
-	for lvl := s.level - 1; lvl >= 0; lvl-- {
+	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
 			nxt := x.next[lvl].Load()
 			if nxt != nil && nxt.key < key {
@@ -81,7 +84,7 @@ func (s *SkipList) findGreaterOrEqual(key uint64, prev *[maxLevel]*slNode) *slNo
 // Get returns the value stored under key. Safe for concurrent use with
 // one writer.
 func (s *SkipList) Get(key uint64) (uint64, bool) {
-	n := s.findGreaterOrEqual(key, nil)
+	n := s.findGreaterOrEqual(key, maxLevel, nil)
 	if n != nil && n.key == key {
 		return n.value.Load(), true
 	}
@@ -92,7 +95,7 @@ func (s *SkipList) Get(key uint64) (uint64, bool) {
 // lock.
 func (s *SkipList) Put(key, value uint64) {
 	var prev [maxLevel]*slNode
-	n := s.findGreaterOrEqual(key, &prev)
+	n := s.findGreaterOrEqual(key, s.level, &prev)
 	if n != nil && n.key == key {
 		n.value.Store(value)
 		return

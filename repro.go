@@ -35,7 +35,7 @@
 // Plain Go code that just wants a better sync.Mutex uses the
 // goroutine-native form instead — a sync.Locker with TryLock, no
 // *Thread anywhere (internal/gonative supplies per-acquisition thread
-// identity from a striped slot pool behind the scenes):
+// identity from a pool of cache-line-padded slots behind the scenes):
 //
 //	var mu = repro.MustNewMutex("cna")           // satisfies sync.Locker
 //	mu.Lock(); ...; mu.Unlock()
