@@ -205,7 +205,7 @@ func (*noCopy) Unlock() {}
 // this via the embedded noCopy).
 type Mutex struct {
 	noCopy noCopy
-	inner  locks.Mutex
+	inner  locks.TimedMutex
 	// fast is set iff the inner lock is a Fissile composite, as a
 	// concrete pointer so the uncontended path is one predictable
 	// branch plus an inlinable CAS — an interface dispatch here would
@@ -282,10 +282,7 @@ func (m *Mutex) TryLock() bool {
 // the inner acquisition share one deadline: a slot-starved adapter
 // spends part (possibly all) of the budget waiting for an Unlock to
 // free a slot, so the bounded-wait contract holds even when the inner
-// lock is never reached. Every registered lock implements
-// locks.TimedMutex; the TryLock-poll fallback only guards Mutexes
-// hand-built over locks outside the registry. A non-positive d
-// degrades to TryLock.
+// lock is never reached. A non-positive d degrades to TryLock.
 func (m *Mutex) LockTimeout(d time.Duration) bool {
 	if d <= 0 {
 		return m.TryLock()
@@ -314,13 +311,7 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 	if th.Depth() != 0 {
 		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 	}
-	var ok bool
-	if tm, timed := m.inner.(locks.TimedMutex); timed {
-		ok = tm.LockTimeout(th, time.Until(deadline))
-	} else {
-		ok = locks.PollTimeout(func() bool { return m.inner.TryLock(th) }, time.Until(deadline))
-	}
-	if !ok {
+	if !m.inner.LockTimeout(th, time.Until(deadline)) {
 		m.pool.release(th)
 		return false
 	}
@@ -369,7 +360,7 @@ func (m *Mutex) Name() string { return m.inner.Name() }
 // Inner exposes the adapted lock, e.g. to read CNA statistics after a
 // WithStats build. The *Thread API must not be driven through it while
 // the adapter is in use.
-func (m *Mutex) Inner() locks.Mutex { return m.inner }
+func (m *Mutex) Inner() locks.TimedMutex { return m.inner }
 
 // PoolStats reports (free, capacity) of the adapter's slot pool.
 func (m *Mutex) PoolStats() (free, capacity int) {
@@ -424,7 +415,7 @@ func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.Time
 
 // newMutex assembles an adapter, devirtualizing a Fissile inner lock
 // into the concrete fast-path field (see Mutex.fast).
-func newMutex(inner locks.Mutex, pool *Pool) *Mutex {
+func newMutex(inner locks.TimedMutex, pool *Pool) *Mutex {
 	m := &Mutex{inner: inner, pool: pool}
 	if f, ok := inner.(*fissile.Lock); ok {
 		m.fast = f

@@ -8,9 +8,10 @@ package lockreg
 //  1. mutual exclusion — at most one thread inside the critical section;
 //  2. LIFO nesting — a thread may hold up to locks.MaxNesting distinct
 //     locks at once, releasing in reverse acquisition order;
-//  3. handover bookkeeping — locks that expose a HandoverCounter must
-//     classify a same-socket handover as local and a cross-socket one as
-//     remote (the statistic the paper's locality arguments rest on).
+//  3. handover bookkeeping — locks that expose a HandoverCounter, or
+//     wrap one that does, must classify a same-socket handover as local
+//     and a cross-socket one as remote (the statistic the paper's
+//     locality arguments rest on).
 
 import (
 	"runtime"
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/locks"
+	"repro/internal/locks/fissile"
 	"repro/internal/numa"
 )
 
@@ -221,13 +223,16 @@ func TestConformanceTryLock(t *testing.T) {
 
 // handovers returns the lock's handover counter when the algorithm
 // maintains one (MCS, the cohort locks, HMCS and CNA do; the simple spin
-// locks have no notion of a handover).
+// locks have no notion of a handover). A composite (rw, fissile, gcr)
+// reports the counter of the lock it wraps.
 func handovers(m locks.Mutex) (*locks.HandoverCounter, bool) {
 	switch l := m.(type) {
 	case interface{ Handovers() *locks.HandoverCounter }:
 		return l.Handovers(), true
 	case *core.Lock:
 		return &l.Stats().Handover, true
+	case interface{ Inner() locks.TimedMutex }:
+		return handovers(l.Inner())
 	}
 	return nil, false
 }
@@ -236,12 +241,16 @@ func handovers(m locks.Mutex) (*locks.HandoverCounter, bool) {
 // handover sequence — socket 0, socket 0 again, then socket 1 — and
 // checks that instrumented locks classify it as exactly one local and
 // one remote handover. Statistics are opt-in, so the locks are built
-// with WithStats(true).
+// with WithStats(true). A fissile composite is skipped: its uncontended
+// acquisitions take the fast path and never reach the queue.
 func TestConformanceHandoverLocality(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			m := spec.Build(testEnv(3), WithStats(true))
+			if _, ok := m.(*fissile.Lock); ok {
+				t.Skipf("%s: the uncontended fast path never reaches the queue", spec.Name)
+			}
 			h, ok := handovers(m)
 			if !ok {
 				t.Skipf("%s keeps no handover statistics", spec.Name)
@@ -267,7 +276,9 @@ func TestConformanceHandoverLocality(t *testing.T) {
 // contract: without WithStats(true), a lock driven through a contended
 // handover-heavy run must report all-zero counters (it performed no
 // counter writes), while the same workload with WithStats(true) must
-// record handovers.
+// record handovers. A fissile composite is held to its own counters
+// instead: its acquisitions may all take the fast path, so with stats on
+// they must classify every acquisition as fast or slow.
 func TestConformanceStatsOptIn(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -307,10 +318,18 @@ func TestConformanceStatsOptIn(t *testing.T) {
 					t.Fatalf("%s: default build recorded queue stats %+v, want zeros", spec.Name, st)
 				}
 			}
+			if f, ok := def.(*fissile.Lock); ok && f.Stats() != (fissile.Stats{}) {
+				t.Fatalf("%s: default build recorded fissile stats %+v, want zeros", spec.Name, f.Stats())
+			}
 
 			inst := spec.Build(testEnv(workers), WithStats(true))
 			run(inst)
-			if h, ok := handovers(inst); ok {
+			if f, ok := inst.(*fissile.Lock); ok {
+				if st := f.Stats(); st.FastAcquires+st.SlowAcquires != uint64(workers*iters) {
+					t.Fatalf("%s: stats classify %d+%d acquisitions, want %d",
+						spec.Name, st.FastAcquires, st.SlowAcquires, workers*iters)
+				}
+			} else if h, ok := handovers(inst); ok {
 				if local, remote := h.Counts(); local+remote == 0 {
 					t.Fatalf("%s: WithStats(true) build recorded no handovers", spec.Name)
 				}

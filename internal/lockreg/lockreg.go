@@ -24,9 +24,22 @@
 // WithMaxLocalPasses, ...) tune the per-algorithm policy knobs; options
 // an algorithm does not understand are ignored, so one option list can
 // configure a whole sweep. Defaults are the paper's settings.
+//
+// # Composition
+//
+// Four wrapper layers compose over base algorithms: spin-then-park
+// waiting, the cohort reader-writer construction, the Fissile one-CAS
+// fast path and the GCR admission gate. The layers table holds one row
+// per layer: its name suffix, the bases it wraps and how it builds over
+// a base's lock. derive registers each row over each of its bases under
+// the name <base><suffix> ("CNA" + "-fissile" is "CNA-fissile"), with
+// the base's aliases suffixed alike ("cnaopt-cr"). Every Spec builds a
+// locks.TimedMutex, so each layer receives its inner lock typed and the
+// compiler checks the bounded-wait contract down the whole stack.
 package lockreg
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,10 +56,11 @@ import (
 	"repro/internal/waiter"
 )
 
-// Canonical algorithm names, one per registered Spec. Each equals the
-// Name() string of the lock the Spec builds. The strings live in the
-// leaf package internal/locknames so the simulator can share them
-// without linking the real lock implementations.
+// Canonical algorithm names, one per base Spec (a derived Spec is
+// spelled <base><suffix>). Each equals the Name() string of the lock the
+// Spec builds. The strings live in the leaf package internal/locknames
+// so the simulator can share them without linking the real lock
+// implementations.
 const (
 	NameTAS     = locknames.TAS
 	NameTTAS    = locknames.TTAS
@@ -71,65 +85,6 @@ const (
 const (
 	NameStd   = locknames.Std
 	NameStdRW = locknames.StdRW
-)
-
-// Spin-then-park variants of the queue locks with a well-defined waker
-// (see registerParkVariants): the same algorithms built with
-// waiter.SpinThenPark{}, under the base name plus locknames.ParkSuffix.
-const (
-	NameMCSPark    = locknames.MCS + locknames.ParkSuffix
-	NameCLHPark    = locknames.CLH + locknames.ParkSuffix
-	NameMCSCRPark  = locknames.MCSCR + locknames.ParkSuffix
-	NameCBOMCSPark = locknames.CBOMCS + locknames.ParkSuffix
-	NameHMCSPark   = locknames.HMCS + locknames.ParkSuffix
-	NameCNAPark    = locknames.CNA + locknames.ParkSuffix
-	NameCNAOptPark = locknames.CNAOpt + locknames.ParkSuffix
-)
-
-// Reader-writer variants (see registerRWVariants): the cohort-RW
-// construction of internal/locks/rw with the named base algorithm as
-// its writer gate, under the base name plus locknames.RWSuffix. The
-// stdlib "std-rw" spec completes the family as the runtime baseline.
-const (
-	NameMCSRW    = locknames.MCS + locknames.RWSuffix
-	NameCLHRW    = locknames.CLH + locknames.RWSuffix
-	NameCBOMCSRW = locknames.CBOMCS + locknames.RWSuffix
-	NameHMCSRW   = locknames.HMCS + locknames.RWSuffix
-	NameCNARW    = locknames.CNA + locknames.RWSuffix
-	NameCNAOptRW = locknames.CNAOpt + locknames.RWSuffix
-)
-
-// Fissile variants (see registerFissileVariants): the internal/locks/
-// fissile composite with the named base algorithm as its queue-path
-// fallback, under the base name plus locknames.FissileSuffix —
-// uncontended acquires take a TAS outer word with one CAS, contended
-// acquires fall back to the base queue.
-const (
-	NameMCSFissile    = locknames.MCS + locknames.FissileSuffix
-	NameCLHFissile    = locknames.CLH + locknames.FissileSuffix
-	NameMCSCRFissile  = locknames.MCSCR + locknames.FissileSuffix
-	NameCBOMCSFissile = locknames.CBOMCS + locknames.FissileSuffix
-	NameHMCSFissile   = locknames.HMCS + locknames.FissileSuffix
-	NameCNAFissile    = locknames.CNA + locknames.FissileSuffix
-	NameCNAOptFissile = locknames.CNAOpt + locknames.FissileSuffix
-)
-
-// Concurrency-restriction variants (see registerCRVariants): the
-// internal/locks/gcr admission gate over the named base algorithm,
-// under the base name plus locknames.CRSuffix — a bounded active set
-// reaches the inner lock, surplus arrivals park on a passive list and
-// rotate back in, so throughput stays flat under deep oversubscription.
-const (
-	NameStdCR    = locknames.Std + locknames.CRSuffix
-	NameTicketCR = locknames.Ticket + locknames.CRSuffix
-	// NameMCSGCR is "MCS-cr"; the natural NameMCSCR spelling already
-	// names the Malthusian lock ("MCSCR", Dice 2017), so the gated-MCS
-	// constant carries the GCR tag instead.
-	NameMCSGCR   = locknames.MCS + locknames.CRSuffix
-	NameCNACR    = locknames.CNA + locknames.CRSuffix
-	NameCNAOptCR = locknames.CNAOpt + locknames.CRSuffix
-	NameCBOMCSCR = locknames.CBOMCS + locknames.CRSuffix
-	NameHMCSCR   = locknames.HMCS + locknames.CRSuffix
 )
 
 // Env carries the construction-time environment shared by all lock
@@ -198,8 +153,10 @@ type Spec struct {
 	// wait_policy field so spin-vs-park curves can be grouped without
 	// parsing names.
 	Wait string
-	// Build constructs a lock instance for the given environment.
-	Build func(Env, ...Option) locks.Mutex
+	// Build constructs a lock instance for the given environment. Every
+	// registered lock honours the bounded-wait contract, so the result is
+	// typed as a locks.TimedMutex and layers wrap it without assertions.
+	Build func(Env, ...Option) locks.TimedMutex
 	// Native, when set, builds the algorithm's own goroutine-native form
 	// directly — only the stdlib baselines have one (sync.Mutex needs no
 	// thread slots). When nil, the goroutine-native path
@@ -248,7 +205,7 @@ func Register(s Spec) {
 		s.Wait = waiter.Default.Name()
 	}
 	build := s.Build
-	s.Build = func(env Env, opts ...Option) locks.Mutex {
+	s.Build = func(env Env, opts ...Option) locks.TimedMutex {
 		m := build(env, opts...)
 		c := apply(opts)
 		if c.wait != nil {
@@ -309,7 +266,7 @@ func Lookup(name string) (Spec, bool) {
 
 // Build constructs the named lock in the given environment. The error of
 // an unknown name lists every registered spelling.
-func Build(name string, env Env, opts ...Option) (locks.Mutex, error) {
+func Build(name string, env Env, opts ...Option) (locks.TimedMutex, error) {
 	spec, ok := Lookup(name)
 	if !ok {
 		return nil, UnknownLockError(name)
@@ -358,7 +315,7 @@ func MustSpec(name string) Spec {
 }
 
 // MustBuild is Build for callers with static names (examples, tests).
-func MustBuild(name string, env Env, opts ...Option) locks.Mutex {
+func MustBuild(name string, env Env, opts ...Option) locks.TimedMutex {
 	m, err := Build(name, env, opts...)
 	if err != nil {
 		panic(err)
@@ -371,7 +328,7 @@ func init() {
 		Name:        NameTAS,
 		Aliases:     []string{"test-and-set"},
 		Description: "test-and-set spin lock: one word, global spinning, no fairness",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewTAS()
 		},
 	})
@@ -379,7 +336,7 @@ func init() {
 		Name:        NameTTAS,
 		Aliases:     []string{"test-and-test-and-set"},
 		Description: "test-and-test-and-set: reads before the atomic swap to cut coherence traffic",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewTTAS()
 		},
 	})
@@ -387,7 +344,7 @@ func init() {
 		Name:        NameBOTAS,
 		Aliases:     []string{"backoff", "backoff-tas"},
 		Description: "test-and-set with capped exponential backoff (the BO of C-BO-MCS)",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			min, max := c.backoff(locks.DefaultBackoffMin, locks.DefaultBackoffMax)
 			return locks.NewBackoffTAS(min, max)
@@ -397,7 +354,7 @@ func init() {
 		Name:        NameTicket,
 		Aliases:     []string{"ticket"},
 		Description: "FIFO ticket lock: strictly fair, one word, global spinning",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewTicket()
 		},
 	})
@@ -405,7 +362,7 @@ func init() {
 		Name:        NamePTL,
 		Aliases:     []string{"partitioned-ticket"},
 		Description: "partitioned ticket lock: grants striped across per-socket slots",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			return locks.NewPartitionedTicket(c.slotsOr(env.Sockets()))
 		},
@@ -413,14 +370,14 @@ func init() {
 	Register(Spec{
 		Name:        NameMCS,
 		Description: "Mellor-Crummey/Scott queue lock: local spinning, the paper's baseline",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewMCS(env.Threads())
 		},
 	})
 	Register(Spec{
 		Name:        NameCLH,
 		Description: "Craig/Landin/Hagersten queue lock: spins on the predecessor's node",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewCLH(env.Threads())
 		},
 	})
@@ -429,7 +386,7 @@ func init() {
 		Aliases:     []string{"hierarchical-backoff"},
 		Description: "hierarchical backoff lock: one word, remote waiters back off longer",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			if c.hboSet {
 				return locks.NewHBO(c.hboLocalMin, c.hboLocalMax, c.hboRemoteMin, c.hboRemoteMax)
@@ -441,7 +398,7 @@ func init() {
 		Name:        NameMCSCR,
 		Aliases:     []string{"malthusian"},
 		Description: "Malthusian MCS: culls excess waiters to a passive list (Dice 2017)",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			m := locks.NewMalthusian(env.Threads(),
 				c.minActiveOr(locks.DefaultMalthusianMinActive),
@@ -456,7 +413,7 @@ func init() {
 		Name:        NameCBOMCS,
 		Description: "cohort lock: backoff-TAS global, MCS locals (best cohort variant)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			return cohort.NewCBOMCS(env.Sockets(), env.Threads(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
@@ -465,7 +422,7 @@ func init() {
 		Name:        NameCTKTTKT,
 		Description: "cohort lock: ticket global, ticket locals",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			return cohort.NewCTKTTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
@@ -474,7 +431,7 @@ func init() {
 		Name:        NameCPTLTKT,
 		Description: "cohort lock: partitioned-ticket global, ticket locals",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			return cohort.NewCPTLTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
@@ -483,7 +440,7 @@ func init() {
 		Name:        NameHMCS,
 		Description: "hierarchical MCS: per-socket queues plus a root queue (Chabbi 2015)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			c := apply(opts)
 			return hmcs.New(env.Sockets(), env.Threads(), uint64(c.maxLocalPassesOr(int(hmcs.DefaultThreshold))))
 		},
@@ -492,7 +449,7 @@ func init() {
 		Name:        NameCNA,
 		Description: "compact NUMA-aware lock: one word of state (the paper's contribution)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return core.NewWithArena(env.arena(), cnaOptions(core.DefaultOptions(), opts))
 		},
 	})
@@ -501,33 +458,27 @@ func init() {
 		Aliases:     []string{"cna (opt)", "cnaopt"},
 		Description: "CNA with the Section 6 shuffle-reduction optimisation",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return core.NewWithArena(env.arena(), cnaOptions(core.OptimizedOptions(), opts))
 		},
 	})
 
-	// Spin-then-park variants. Only queue locks whose release names a
-	// specific successor can park their waiters (someone must post the
-	// wake); the ticket-family locks have no such waker and would merely
-	// rename themselves, so they get no *-park spec — WithWait on them
-	// degrades to yield-per-recheck (see locks.Ticket).
-	registerParkVariants(
-		NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt,
-	)
-
-	// Stdlib baselines, last so the paper's algorithms keep their
-	// registration-order positions in sweeps. Wait is "runtime": the Go
-	// scheduler owns their waiting (they spin briefly, then park on the
-	// runtime's semaphores — the policy spectrum the waiter package
-	// models is built in). Their Native builders return sync primitives
-	// directly, so the goroutine-native path pays no adapter at all —
-	// the honest baseline for adapter-overhead measurements.
+	// The park layer, then the stdlib baselines, then the other layers:
+	// each group was added after the last, so sweeps keep their
+	// registration-order positions. The stdlib baselines' Wait is
+	// "runtime": the Go scheduler owns their waiting (they spin briefly,
+	// then park on the runtime's semaphores — the policy spectrum the
+	// waiter package models is built in). Their Native builders return
+	// sync primitives directly, so the goroutine-native path pays no
+	// adapter at all — the honest baseline for adapter-overhead
+	// measurements.
+	derive(layers[0])
 	Register(Spec{
 		Name:        NameStd,
 		Aliases:     []string{"sync-mutex", "stdlib"},
 		Description: "sync.Mutex: the Go runtime's own mutex, the drop-in baseline",
 		Wait:        "runtime",
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewStd()
 		},
 		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
@@ -540,7 +491,7 @@ func init() {
 		Description: "sync.RWMutex: write-locked as a mutex, the runtime RW baseline",
 		Wait:        "runtime",
 		RW:          true,
-		Build: func(env Env, opts ...Option) locks.Mutex {
+		Build: func(env Env, opts ...Option) locks.TimedMutex {
 			return locks.NewStdRW()
 		},
 		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
@@ -548,193 +499,133 @@ func init() {
 		},
 	})
 
-	// Reader-writer variants: the cohort-RW construction over each base
-	// that makes a sensible writer gate — the queue and NUMA-aware
-	// locks whose writer-vs-writer arbitration is the point of the
-	// comparison. Registered last so base sweeps keep their positions.
-	registerRWVariants(
-		NameMCS, NameCLH, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt,
-	)
-
-	// Fissile variants: the one-CAS fast path over every queue lock —
-	// the same set that gets *-park specs, since both constructions
-	// need a real queue underneath (a fissile TAS-over-TAS would just
-	// be a slower TAS). Registered after the RW family for the same
-	// position-stability reason.
-	registerFissileVariants(
-		NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt,
-	)
-
-	// Concurrency-restriction variants: the GCR admission gate over the
-	// stdlib baseline, the global-spinning ticket lock (the two that
-	// collapse hardest under oversubscription) and the queue/NUMA locks
-	// the paper sweeps. Registered last for position stability.
-	registerCRVariants(
-		NameStd, NameTicket, NameMCS, NameCNA, NameCNAOpt, NameCBOMCS, NameHMCS,
-	)
-}
-
-// registerParkVariants derives a "<base>-park" Spec for each named base
-// algorithm: the identical construction with waiter.SpinThenPark{}
-// injected as the default waiting policy (an explicit WithWait still
-// wins, since user options are applied after the injected one). The
-// derived spec inherits the base's aliases with the suffix appended, so
-// "malthusian-park" resolves like "malthusian" does.
-func registerParkVariants(bases ...string) {
-	for _, base := range bases {
-		spec, ok := Lookup(base)
-		if !ok {
-			panic(fmt.Sprintf("lockreg: park variant of unregistered %q", base))
-		}
-		baseBuild := spec.Build
-		park := Spec{
-			Name:        spec.Name + locknames.ParkSuffix,
-			Description: spec.Description + "; waiters spin briefly then park",
-			NUMAAware:   spec.NUMAAware,
-			Wait:        waiter.SpinThenPark{}.Name(),
-			Build: func(env Env, opts ...Option) locks.Mutex {
-				return baseBuild(env, append([]Option{WithWait(waiter.SpinThenPark{})}, opts...)...)
-			},
-		}
-		for _, a := range spec.Aliases {
-			park.Aliases = append(park.Aliases, a+locknames.ParkSuffix)
-		}
-		Register(park)
+	for _, l := range layers[1:] {
+		derive(l)
 	}
 }
 
-// registerFissileVariants derives a "<base>-fissile" Spec for each
-// named base algorithm: the internal/locks/fissile composite with the
-// base lock as its contended fallback. The base's options pass straight
-// through to the queue (a CNA-fissile honours WithThreshold exactly
-// like CNA), WithPatience tunes the composite's anti-starvation bound,
-// and the registry's uniform WithWait / WithStats handling reaches both
-// layers through the composite's SetWait/EnableStats forwarding. Like
-// the park variants, the derived spec inherits the base's aliases with
-// the suffix appended.
-func registerFissileVariants(bases ...string) {
-	for _, base := range bases {
-		spec, ok := Lookup(base)
-		if !ok {
-			panic(fmt.Sprintf("lockreg: fissile variant of unregistered %q", base))
-		}
-		baseBuild := spec.Build
-		fs := Spec{
-			Name:        spec.Name + locknames.FissileSuffix,
-			Description: "Fissile composite: one-CAS TAS fast path, " + spec.Name + " queue under contention",
-			NUMAAware:   spec.NUMAAware,
-			Wait:        spec.Wait,
-			Build: func(env Env, opts ...Option) locks.Mutex {
-				inner, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: fissile fallback %q is not a TimedMutex", base))
-				}
-				var fopts []fissile.Option
-				if c := apply(opts); c.patienceSet {
-					fopts = append(fopts, fissile.WithPatience(c.patience))
-				}
-				return fissile.New(inner, fopts...)
-			},
-		}
-		for _, a := range spec.Aliases {
-			fs.Aliases = append(fs.Aliases, a+locknames.FissileSuffix)
-		}
-		Register(fs)
-	}
+// buildFunc is the type of Spec.Build.
+type buildFunc = func(Env, ...Option) locks.TimedMutex
+
+// layer is one row of the composition table: a wrapper that derive
+// registers over each of bases as "<base><suffix>".
+type layer struct {
+	suffix string
+	bases  []string
+	// describe gives the derived Spec's Description.
+	describe func(base Spec) string
+	// wait is the derived Spec's Wait; empty keeps the base's.
+	wait string
+	// rw marks the reader-writer layer: its Specs are RW, and NUMA-aware
+	// whatever their base.
+	rw bool
+	// build constructs the layer over base, the base Spec's Build. The
+	// caller's options reach both: the base reads its own knobs, the
+	// layer its own, and Register's WithWait/WithStats handling reaches
+	// the inner lock through the layer's SetWait/EnableStats forwarding.
+	build func(base buildFunc, env Env, opts []Option) locks.TimedMutex
 }
 
-// registerCRVariants derives a "<base>-cr" Spec for each named base
-// algorithm: the internal/locks/gcr generic concurrency-restriction
-// composite with the base lock behind its admission gate. The base's
-// options pass straight through to the inner lock (a CNA-cr honours
-// WithThreshold exactly like CNA), WithActiveSet / WithRotateEvery
-// tune the gate, and the registry's uniform WithWait / WithStats
-// handling reaches both layers through the composite's SetWait /
-// EnableStats forwarding (SetWait also selects the passive waiters'
-// parking policy). The composite defaults its passive side to
-// spin-then-park — culled waiters are expected to park, that is the
-// point — so the Spec's Wait field reports spin-park. Like the park
-// variants, the derived spec inherits the base's aliases with the
-// suffix appended.
-func registerCRVariants(bases ...string) {
-	for _, base := range bases {
-		spec, ok := Lookup(base)
-		if !ok {
-			panic(fmt.Sprintf("lockreg: CR variant of unregistered %q", base))
-		}
-		baseBuild := spec.Build
-		cr := Spec{
-			Name:        spec.Name + locknames.CRSuffix,
-			Description: "GCR admission gate over " + spec.Name + ": bounded active set, surplus waiters parked and rotated",
-			NUMAAware:   spec.NUMAAware,
-			Wait:        waiter.SpinThenPark{}.Name(),
-			Build: func(env Env, opts ...Option) locks.Mutex {
-				inner, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: CR inner lock %q is not a TimedMutex", base))
-				}
-				var gopts []gcr.Option
-				if c := apply(opts); c.activeSetSet || c.rotateEverySet {
-					if c.activeSetSet {
-						gopts = append(gopts, gcr.WithActiveSet(c.activeSet))
-					}
-					if c.rotateEverySet {
-						gopts = append(gopts, gcr.WithRotateEvery(c.rotateEvery))
-					}
-				}
-				return gcr.New(inner, env.Sockets(), gopts...)
-			},
-		}
-		for _, a := range spec.Aliases {
-			cr.Aliases = append(cr.Aliases, a+locknames.CRSuffix)
-		}
-		Register(cr)
-	}
+// layers is the composition table, in registration order.
+var layers = []layer{
+	{
+		// Spin-then-park: the base built with waiter.SpinThenPark{}
+		// injected ahead of the caller's options, so an explicit WithWait
+		// still wins. Only queue locks whose release names a specific
+		// successor can park their waiters (someone must post the wake);
+		// the ticket-family locks have no such waker and would merely
+		// rename themselves — WithWait on them degrades to
+		// yield-per-recheck (see locks.Ticket).
+		suffix:   locknames.ParkSuffix,
+		bases:    []string{NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt},
+		describe: func(b Spec) string { return b.Description + "; waiters spin briefly then park" },
+		wait:     waiter.SpinThenPark{}.Name(),
+		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+			return base(env, append([]Option{WithWait(waiter.SpinThenPark{})}, opts...)...)
+		},
+	},
+	{
+		// Reader-writer: the internal/locks/rw cohort-RW construction with
+		// the base as its writer gate and one read-indicator stripe per
+		// socket, over the queue and NUMA-aware locks whose writer
+		// arbitration is the point of the comparison. WithReaderNeutral
+		// selects the admission mode.
+		suffix: locknames.RWSuffix,
+		bases:  []string{NameMCS, NameCLH, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt},
+		describe: func(b Spec) string {
+			return "NUMA-aware RW lock: per-socket read indicators, " + b.Name + " writer gate"
+		},
+		rw: true,
+		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+			var ropts []rw.Option
+			if c := apply(opts); c.rwNeutralSet && c.rwNeutral {
+				ropts = append(ropts, rw.Neutral())
+			}
+			return rw.New(base(env, opts...), env.Sockets(), env.Threads(), ropts...)
+		},
+	},
+	{
+		// Fissile: the internal/locks/fissile one-CAS TAS fast path with
+		// the base queue as its contended fallback, over the same queue
+		// locks as park (a fissile TAS-over-TAS would just be a slower
+		// TAS). WithPatience tunes the anti-starvation bound.
+		suffix: locknames.FissileSuffix,
+		bases:  []string{NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt},
+		describe: func(b Spec) string {
+			return "Fissile composite: one-CAS TAS fast path, " + b.Name + " queue under contention"
+		},
+		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+			var fopts []fissile.Option
+			if c := apply(opts); c.patienceSet {
+				fopts = append(fopts, fissile.WithPatience(c.patience))
+			}
+			return fissile.New(base(env, opts...), fopts...)
+		},
+	},
+	{
+		// Concurrency restriction: the internal/locks/gcr admission gate
+		// over the stdlib baseline, the global-spinning ticket lock (the
+		// two that collapse hardest under oversubscription) and the
+		// queue/NUMA locks the paper sweeps. The gate parks its culled
+		// waiters by default, so the Spec's Wait is spin-park.
+		// WithActiveSet and WithRotateEvery tune the gate.
+		suffix: locknames.CRSuffix,
+		bases:  []string{NameStd, NameTicket, NameMCS, NameCNA, NameCNAOpt, NameCBOMCS, NameHMCS},
+		describe: func(b Spec) string {
+			return "GCR admission gate over " + b.Name + ": bounded active set, surplus waiters parked and rotated"
+		},
+		wait: waiter.SpinThenPark{}.Name(),
+		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+			var gopts []gcr.Option
+			c := apply(opts)
+			if c.activeSetSet {
+				gopts = append(gopts, gcr.WithActiveSet(c.activeSet))
+			}
+			if c.rotateEverySet {
+				gopts = append(gopts, gcr.WithRotateEvery(c.rotateEvery))
+			}
+			return gcr.New(base(env, opts...), env.Sockets(), gopts...)
+		},
+	},
 }
 
-// registerRWVariants derives a "<base>-rw" Spec for each named base
-// algorithm: the internal/locks/rw cohort-RW construction with the
-// base lock as its writer gate and one read-indicator stripe per
-// socket. The base's options pass straight through to the gate (a
-// CNA-rw honours WithThreshold exactly like CNA), WithReaderNeutral
-// selects the RW admission mode, and the registry's uniform WithWait /
-// WithStats handling reaches both layers through the RW lock's
-// SetWait/EnableStats forwarding. Like the park variants, the derived
-// spec inherits the base's aliases with the suffix appended.
-func registerRWVariants(bases ...string) {
-	for _, base := range bases {
-		spec, ok := Lookup(base)
-		if !ok {
-			panic(fmt.Sprintf("lockreg: RW variant of unregistered %q", base))
-		}
-		baseBuild := spec.Build
-		rwSpec := Spec{
-			Name:        spec.Name + locknames.RWSuffix,
-			Description: "NUMA-aware RW lock: per-socket read indicators, " + spec.Name + " writer gate",
-			NUMAAware:   true,
-			RW:          true,
-			Wait:        spec.Wait,
-			Build: func(env Env, opts ...Option) locks.Mutex {
-				gate, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: RW gate %q is not a TimedMutex", base))
-				}
-				var ropts []rw.Option
-				if c := apply(opts); c.rwNeutralSet && c.rwNeutral {
-					ropts = append(ropts, rw.Neutral())
-				}
-				return rw.New(gate, env.Sockets(), env.Threads(), ropts...)
+// derive registers layer l over each of its bases.
+func derive(l layer) {
+	for _, name := range l.bases {
+		base := MustSpec(name)
+		s := Spec{
+			Name:        base.Name + l.suffix,
+			Description: l.describe(base),
+			NUMAAware:   base.NUMAAware || l.rw,
+			RW:          l.rw,
+			Wait:        cmp.Or(l.wait, base.Wait),
+			Build: func(env Env, opts ...Option) locks.TimedMutex {
+				return l.build(base.Build, env, opts)
 			},
 		}
-		for _, a := range spec.Aliases {
-			rwSpec.Aliases = append(rwSpec.Aliases, a+locknames.RWSuffix)
+		for _, a := range base.Aliases {
+			s.Aliases = append(s.Aliases, a+l.suffix)
 		}
-		Register(rwSpec)
+		Register(s)
 	}
 }

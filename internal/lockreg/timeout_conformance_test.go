@@ -1,7 +1,8 @@
 package lockreg
 
-// Bounded-wait conformance: every registered lock must implement
-// locks.TimedMutex and honour its contract —
+// Bounded-wait conformance: every registered lock builds a
+// locks.TimedMutex (Spec.Build's type says so) and must honour its
+// contract —
 //
 //  1. expiry returns false, consumes no nesting slot, and leaves the
 //     lock fully functional (no lost lock);
@@ -10,7 +11,8 @@ package lockreg
 //     expired", never both (pinned by exact counter agreement under a
 //     deadline-jitter storm mixed with plain Lock and TryLock);
 //  3. after quiescence every thread is back at nesting depth zero —
-//     abandoned queue nodes were retired, not leaked.
+//     abandoned queue nodes were retired, not leaked — and the lock is
+//     free to a TryLock.
 //
 // The storm runs under -race in CI (see the short test job), which is
 // what turns the jittered deadlines into a race hunt around each
@@ -25,17 +27,6 @@ import (
 	"repro/internal/locks"
 )
 
-// TestConformanceTimedMutex pins the registry-wide contract that every
-// build — every algorithm, every *-park variant — is a TimedMutex.
-func TestConformanceTimedMutex(t *testing.T) {
-	for _, spec := range All() {
-		m := spec.Build(testEnv(2))
-		if _, ok := m.(locks.TimedMutex); !ok {
-			t.Errorf("%s does not implement locks.TimedMutex", spec.Name)
-		}
-	}
-}
-
 // TestConformanceTimeoutExpiry holds each lock and fires timed
 // acquires at it from every other thread: all must expire, consume no
 // nesting slot, and leave the lock acquirable once released.
@@ -45,7 +36,7 @@ func TestConformanceTimeoutExpiry(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			const workers = 4
-			m := spec.Build(testEnv(workers)).(locks.TimedMutex)
+			m := spec.Build(testEnv(workers))
 			ths := confThreads(workers)
 
 			m.Lock(ths[0])
@@ -89,15 +80,20 @@ func TestConformanceTimeoutExpiry(t *testing.T) {
 // per-success atomic catches both failure modes of the race — a lost
 // lock (grant delivered to a waiter that left: the counter stalls) and
 // a double grant (two threads inside: the inside gauge trips, the
-// counter tears).
+// counter tears). The layer knobs are set to churn: a patience of 4
+// makes a fissile alpha bar and reopen the fast path constantly, and
+// two admission slots rotated every 32 departures keep a GCR gate's
+// passive list populated and its grant path busy, so deadlines expire
+// at every stage of both protocols. Specs without those layers ignore
+// the options.
 func TestConformanceTimeoutStorm(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			const workers = 6
-			iters := confIters(t) / 4
-			m := spec.Build(testEnv(workers)).(locks.TimedMutex)
+			iters := confIters(t) / 2
+			m := spec.Build(testEnv(workers), WithPatience(4), WithActiveSet(2), WithRotateEvery(32))
 			ths := confThreads(workers)
 
 			var counter uint64
@@ -144,6 +140,14 @@ func TestConformanceTimeoutStorm(t *testing.T) {
 					t.Fatalf("%s: thread %d left at nesting depth %d after storm", spec.Name, w, d)
 				}
 			}
+			// The lock is free: no stuck lock bit, no fissile bar an
+			// expired alpha failed to withdraw, no stuck inner state
+			// behind a GCR gate (TryLock bypasses the gate). Checked
+			// before any plain Lock, which would clear a leaked bar.
+			if !m.TryLock(ths[0]) {
+				t.Fatalf("%s: lock not free after quiescence", spec.Name)
+			}
+			m.Unlock(ths[0])
 			// Post-storm functional check on every thread identity; plain
 			// Lock bypasses any tombstone an expiring waiter left behind.
 			for _, th := range ths {

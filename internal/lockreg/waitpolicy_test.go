@@ -11,10 +11,12 @@ package lockreg
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/locknames"
 	"repro/internal/locks"
 	"repro/internal/waiter"
 )
@@ -101,31 +103,35 @@ func TestConformanceParkVariantHandoverRaces(t *testing.T) {
 	}
 }
 
-// TestConformanceParkVariantNamesAndPolicy: the derived specs must
-// report the spin-park policy, resolve via suffixed aliases, and build
-// locks whose Name() carries the suffix (the anti-drift property,
-// extended to wait policies).
+// TestConformanceParkVariantNamesAndPolicy: an explicit WithWait
+// overrides the policy a spin-park spec's name implies, and the built
+// lock's Name() follows the policy it runs. (The catalogue pins every
+// spec's Wait; TestCanonicalNameMatchesMutexName pins every default
+// build's Name().)
 func TestConformanceParkVariantNamesAndPolicy(t *testing.T) {
-	parks := 0
-	for _, spec := range All() {
-		if spec.Wait != (waiter.SpinThenPark{}).Name() {
-			continue
-		}
-		parks++
-		if got := spec.Build(testEnv(2)).Name(); got != spec.Name {
-			t.Errorf("spec %q builds a lock whose Name() is %q", spec.Name, got)
-		}
-	}
-	if parks == 0 {
-		t.Fatal("no spin-then-park variants registered")
-	}
-	// Suffixed aliases resolve to the park variant, not the base.
-	if spec, ok := Lookup("malthusian-park"); !ok || spec.Name != NameMCSCRPark {
-		t.Errorf("Lookup(malthusian-park) = %+v, %v; want %s", spec, ok, NameMCSCRPark)
-	}
-	// An explicit WithWait overrides the variant's implied policy.
-	m := MustBuild(NameMCSPark, testEnv(2), WithWait(waiter.Spin{}))
+	m := MustBuild("MCS-park", testEnv(2), WithWait(waiter.Spin{}))
 	if got := m.Name(); got != NameMCS {
 		t.Errorf("MCS-park built WithWait(Spin) reports %q, want %q", got, NameMCS)
+	}
+}
+
+// TestGCRSingleProcLiveness runs a small plain-Lock storm for every
+// *-cr spec on one scheduler proc: with GOMAXPROCS=1 nothing makes
+// progress unless every wait in the protocol — culled parks, inner
+// queue spins, grant wakes — yields to the scheduler. A stuck spin
+// anywhere hangs the test.
+func TestGCRSingleProcLiveness(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, spec := range All() {
+		if !strings.HasSuffix(spec.Name, locknames.CRSuffix) {
+			continue
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			const workers, iters = 4, 200
+			m := spec.Build(testEnv(workers), WithActiveSet(1), WithRotateEvery(8))
+			if !hammer(t, m, workers, iters, 2*time.Minute) {
+				t.Fatalf("%s hung on one proc with a one-slot gate", spec.Name)
+			}
+		})
 	}
 }

@@ -4,19 +4,30 @@ package fissile
 // lifecycle (set by an impatient alpha, closing the fast path; cleared
 // atomically by the alpha's acquisition or explicitly by a timed-out
 // one), the depth-neutrality of the slow path, and the opt-in stats
-// contract. The cross-algorithm storms live in the lockreg conformance
-// suites, which pick the *-fissile specs up from the registry.
+// contract, plus two CNA-backed storms: counters against ground truth,
+// and bounded barging. The cross-algorithm storms live in the lockreg
+// conformance suites, which pick the *-fissile specs up from the
+// registry.
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/locks"
 )
 
 func newMCSFissile(threads int, opts ...Option) *Lock {
 	return New(locks.NewMCS(threads), opts...)
+}
+
+// newCNAFissile is the registry's CNA-fissile: the composite over a CNA
+// lock with the paper's defaults.
+func newCNAFissile(threads int, opts ...Option) *Lock {
+	return New(core.NewWithArena(core.NewArena(threads), core.DefaultOptions()), opts...)
 }
 
 // waitFor polls until cond holds, failing the test after a generous
@@ -239,4 +250,85 @@ func TestWithPatienceClampsToOne(t *testing.T) {
 	if l := newMCSFissile(2); l.patience != DefaultPatience {
 		t.Fatalf("default patience = %d, want %d", l.patience, DefaultPatience)
 	}
+}
+
+// TestFissileStatsAgree cross-checks the composite's opt-in counters
+// against ground truth under a mixed Lock/TryLock storm: every
+// successful acquisition is classified as exactly one of fast or slow,
+// and the classification sums to the acquisition count.
+func TestFissileStatsAgree(t *testing.T) {
+	const workers = 4
+	iters := 2000
+	if testing.Short() {
+		iters = 200
+	}
+	l := newCNAFissile(workers, WithPatience(4))
+	l.EnableStats()
+
+	var acquired atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := locks.NewThread(w, w%2)
+			for i := 0; i < iters; i++ {
+				if w%2 == 0 {
+					l.Lock(th)
+				} else {
+					for !l.TryLock(th) {
+						runtime.Gosched()
+					}
+				}
+				acquired.Add(1)
+				l.Unlock(th)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := l.Stats()
+	if st.FastAcquires+st.SlowAcquires != acquired.Load() {
+		t.Fatalf("stats classify %d+%d acquisitions, ground truth %d",
+			st.FastAcquires, st.SlowAcquires, acquired.Load())
+	}
+	t.Logf("fast %d, slow %d, handbacks %d", st.FastAcquires, st.SlowAcquires, st.Handbacks)
+}
+
+// TestFissileAntiStarvation pins the bounded-barging guarantee: a
+// queue waiter forced onto the slow path must acquire in bounded time
+// even while a fast-path hammer keeps stealing the word — the alpha's
+// patience runs out, the bar closes the fast path, and the hammer's
+// next release hands the word to the queue.
+func TestFissileAntiStarvation(t *testing.T) {
+	l := newCNAFissile(2, WithPatience(8))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		th := locks.NewThread(0, 0)
+		for !stop.Load() {
+			// TryLock is the pure fast path: this goroutine barges
+			// every time the word frees up, and never queues.
+			if l.TryLock(th) {
+				l.Unlock(th)
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	done := make(chan struct{})
+	go func() {
+		th := locks.NewThread(1, 1)
+		l.LockSlow(th) // queue path by construction: no fast-path attempt
+		l.Unlock(th)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("slow-path waiter starved behind the fast-path hammer")
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -469,6 +469,10 @@ func (l *Lock) EnableStats() {
 	}
 }
 
+// Inner exposes the writer gate, e.g. to read its handover or
+// secondary-queue statistics after a WithStats build.
+func (l *Lock) Inner() locks.TimedMutex { return l.writer }
+
 // ReaderCount returns the summed read indicators — the number of
 // current read holds plus in-flight blips. Meaningful as a steady
 // snapshot only (tests assert it returns to zero after storms).
