@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/kyoto"
 	"repro/internal/lockreg"
@@ -48,14 +47,9 @@ func main() {
 	var results []harness.Result
 	for _, spec := range specs {
 		workload := func(threads int) func(*locks.Thread, int) {
-			// All slot locks share one environment, so CNA variants draw
-			// their queue nodes from a single arena like the kernel's
-			// per-CPU qspinlock nodes.
-			env := lockreg.Env{
-				MaxThreads: threads,
-				Topology:   topo,
-				Arena:      core.NewArena(threads),
-			}
+			// The slot locks queue the workers' own nodes (MCS, MCSCR,
+			// CNA), like the kernel's per-CPU qspinlock nodes.
+			env := lockreg.Env{MaxThreads: threads, Topology: topo}
 			db := kyoto.New(*slots, func() locks.Mutex { return spec.Build(env) })
 			w := kyoto.Wicked{KeyRange: *keyRange, ValueSize: 16}
 			scratch := make([]byte, w.ValueSize)

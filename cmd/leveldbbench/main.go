@@ -3,7 +3,7 @@
 // fixed duration under the chosen lock, with the pre-filled and empty
 // configurations of Figure 11. The global DB mutex and the sharded LRU
 // cache locks are built by name through the internal/lockreg registry
-// and share one construction environment (so CNA locks share an arena).
+// and share one construction environment.
 package main
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/lockreg"
 	"repro/internal/locks"
@@ -53,11 +52,7 @@ func main() {
 	var results []harness.Result
 	for _, spec := range specs {
 		workload := func(threads int) func(*locks.Thread, int) {
-			env := lockreg.Env{
-				MaxThreads: threads,
-				Topology:   topo,
-				Arena:      core.NewArena(threads),
-			}
+			env := lockreg.Env{MaxThreads: threads, Topology: topo}
 			opts := minikv.Options{GlobalLock: spec.Build(env)}
 			keyRange := *entries
 			if !*empty {

@@ -2,9 +2,10 @@
 // structure with a lock per node ("it is prohibitively expensive to
 // store a separate lock per node" with hierarchical NUMA-aware locks).
 //
-// A hash table carries one CNA lock per bucket. All buckets share a
-// single node Arena, so one million buckets cost one word of lock state
-// each, while remaining NUMA-aware under skewed contention.
+// A hash table carries one CNA lock per bucket. The queue nodes belong
+// to the worker threads, not to the locks, so one million buckets cost
+// one word of shared lock state each and no node storage, while
+// remaining NUMA-aware under skewed contention.
 //
 // Run with: go run ./examples/finelocks
 package main
@@ -27,9 +28,9 @@ type table struct {
 	buckets []bucket
 }
 
-// newTable builds one CNA lock per bucket through the registry. The Env
-// carries the shared Arena, so every Build call draws queue nodes from
-// the same storage — a million buckets cost one word of lock state each.
+// newTable builds one CNA lock per bucket through the registry. Each
+// lock is its lock struct alone: acquisitions queue the acquiring
+// Thread's own node.
 func newTable(buckets int, env repro.Env) *table {
 	t := &table{buckets: make([]bucket, buckets)}
 	// WithStats is opt-in instrumentation; this example reports the hot
@@ -62,11 +63,7 @@ func main() {
 	const workers = 8
 	const buckets = 1 << 16
 	topo := repro.TwoSocketXeonE5()
-	env := repro.Env{
-		MaxThreads: workers,
-		Topology:   topo,
-		Arena:      repro.NewArena(workers),
-	}
+	env := repro.Env{MaxThreads: workers, Topology: topo}
 	tbl := newTable(buckets, env)
 
 	// A skewed workload: most traffic hits a handful of hot buckets,
@@ -100,5 +97,5 @@ func main() {
 	fmt.Printf("hot bucket handovers: ")
 	local, remote := tbl.buckets[0].lock.Stats().Handover.Counts()
 	fmt.Printf("%d local / %d remote\n", local, remote)
-	fmt.Println("one shared arena serves every lock, like the kernel's per-CPU qspinlock nodes")
+	fmt.Println("the workers' own queue nodes serve every lock, like the kernel's per-CPU qspinlock nodes")
 }

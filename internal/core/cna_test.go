@@ -11,29 +11,29 @@ import (
 
 // enqueue replicates the lock path's enqueue step without blocking, so
 // white-box tests can build queue states deterministically.
-func enqueue(l *Lock, n *Node, socket int32) {
-	n.next.Store(nil)
-	n.socket = -1
-	n.spin.Store(nil)
+func enqueue(l *Lock, n *locks.Node, socket int32) {
+	n.Next.Store(nil)
+	n.Socket = -1
+	n.Spin.Store(nil)
 	tail := l.tail.Swap(n)
 	if tail == nil {
-		n.spin.Store(granted)
+		n.Spin.Store(granted)
 		return
 	}
-	n.socket = socket
-	tail.next.Store(n)
+	n.Socket = socket
+	tail.Next.Store(n)
 }
 
 // chain asserts the main-queue next-links follow the given sequence and
 // that the last node has a nil next.
-func chain(t *testing.T, label string, nodes ...*Node) {
+func chain(t *testing.T, label string, nodes ...*locks.Node) {
 	t.Helper()
 	for i := 0; i < len(nodes)-1; i++ {
-		if got := nodes[i].next.Load(); got != nodes[i+1] {
+		if got := nodes[i].Next.Load(); got != nodes[i+1] {
 			t.Fatalf("%s: link %d broken: got %p, want %p", label, i, got, nodes[i+1])
 		}
 	}
-	if last := nodes[len(nodes)-1].next.Load(); last != nil {
+	if last := nodes[len(nodes)-1].Next.Load(); last != nil {
 		t.Fatalf("%s: last node's next = %p, want nil", label, last)
 	}
 }
@@ -42,7 +42,7 @@ func chain(t *testing.T, label string, nodes ...*Node) {
 // a 2-socket machine: threads t1,t4,t5 on socket 0, t2,t3,t6,t7 on
 // socket 1.
 func TestFigure1RunningExample(t *testing.T) {
-	l := New(8)
+	l := New()
 	l.EnableStats()
 	l.forceKeepLocal = 1 // make keep_lock_local deterministic for the replay
 
@@ -51,14 +51,14 @@ func TestFigure1RunningExample(t *testing.T) {
 	for i := 1; i <= 7; i++ {
 		th[i] = locks.NewThread(i, sockets[i])
 	}
-	n := make([]*Node, 8)
+	n := make([]*locks.Node, 8)
 	for i := 1; i <= 7; i++ {
-		n[i] = &Node{}
+		n[i] = &locks.Node{}
 	}
 
 	// (a) t1 holds the lock; t2..t6 wait in the main queue.
 	enqueue(l, n[1], 0) // empty queue: t1 acquires immediately
-	if n[1].spin.Load() != granted {
+	if n[1].Spin.Load() != granted {
 		t.Fatal("(a): holder's spin is not granted")
 	}
 	for i := 2; i <= 6; i++ {
@@ -69,10 +69,10 @@ func TestFigure1RunningExample(t *testing.T) {
 	// (b) t1 unlocks: t2,t3 (socket 1) move to the secondary queue and the
 	// lock passes to t4 with the secondary head in its spin field.
 	l.unlockNode(n[1], th[1])
-	if got := n[4].spin.Load(); got != n[2] {
+	if got := n[4].Spin.Load(); got != n[2] {
 		t.Fatalf("(b): t4.spin = %p, want secondary head t2 (%p)", got, n[2])
 	}
-	if got := n[2].secTail.Load(); got != n[3] {
+	if got := n[2].SecTail.Load(); got != n[3] {
 		t.Fatalf("(b): t2.secTail = %p, want t3 (%p)", got, n[3])
 	}
 	chain(t, "(b) secondary", n[2], n[3])
@@ -80,7 +80,7 @@ func TestFigure1RunningExample(t *testing.T) {
 	if l.tail.Load() != n[6] {
 		t.Fatal("(b): tail is not t6")
 	}
-	if n[2].spin.Load() != nil || n[3].spin.Load() != nil {
+	if n[2].Spin.Load() != nil || n[3].Spin.Load() != nil {
 		t.Fatal("(b): secondary-queue threads must still be waiting")
 	}
 
@@ -94,7 +94,7 @@ func TestFigure1RunningExample(t *testing.T) {
 	// (d) t4 unlocks: immediate successor t5 is on socket 0, so the spin
 	// value (secondary head) is simply copied to t5.
 	l.unlockNode(n[4], th[4])
-	if got := n[5].spin.Load(); got != n[2] {
+	if got := n[5].Spin.Load(); got != n[2] {
 		t.Fatalf("(d): t5.spin = %p, want t2 (%p)", got, n[2])
 	}
 
@@ -105,10 +105,10 @@ func TestFigure1RunningExample(t *testing.T) {
 	// (f) t5 unlocks: t6 moves to the end of the secondary queue (t2's
 	// secTail updated), and the lock passes to t1.
 	l.unlockNode(n[5], th[5])
-	if got := n[1].spin.Load(); got != n[2] {
+	if got := n[1].Spin.Load(); got != n[2] {
 		t.Fatalf("(f): t1.spin = %p, want t2 (%p)", got, n[2])
 	}
-	if got := n[2].secTail.Load(); got != n[6] {
+	if got := n[2].SecTail.Load(); got != n[6] {
 		t.Fatalf("(f): t2.secTail = %p, want t6 (%p)", got, n[6])
 	}
 	chain(t, "(f) secondary", n[2], n[3], n[6])
@@ -116,7 +116,7 @@ func TestFigure1RunningExample(t *testing.T) {
 	// (g) t1 unlocks: no socket-0 waiter remains in the main queue, so the
 	// secondary queue is spliced in before t7 and the lock passes to t2.
 	l.unlockNode(n[1], th[1])
-	if n[2].spin.Load() != granted {
+	if n[2].Spin.Load() != granted {
 		t.Fatal("(g): t2 did not receive the lock")
 	}
 	chain(t, "(g) main", n[2], n[3], n[6], n[7])
@@ -124,21 +124,21 @@ func TestFigure1RunningExample(t *testing.T) {
 		t.Fatal("(g): tail is not t7")
 	}
 	// The paper notes t2's secondaryTail deliberately still points at t6.
-	if got := n[2].secTail.Load(); got != n[6] {
+	if got := n[2].SecTail.Load(); got != n[6] {
 		t.Fatalf("(g): t2.secTail = %p, want stale t6 (%p)", got, n[6])
 	}
 
 	// Drain the rest: t2, t3, t6, t7 unlock in queue order.
 	l.unlockNode(n[2], th[2])
-	if n[3].spin.Load() != granted {
+	if n[3].Spin.Load() != granted {
 		t.Fatal("drain: t3 did not receive the lock")
 	}
 	l.unlockNode(n[3], th[3])
-	if n[6].spin.Load() != granted {
+	if n[6].Spin.Load() != granted {
 		t.Fatal("drain: t6 did not receive the lock")
 	}
 	l.unlockNode(n[6], th[6])
-	if n[7].spin.Load() != granted {
+	if n[7].Spin.Load() != granted {
 		t.Fatal("drain: t7 did not receive the lock")
 	}
 	l.unlockNode(n[7], th[7])
@@ -161,26 +161,26 @@ func TestFigure1RunningExample(t *testing.T) {
 // TestSecondaryFlushViaTailCAS covers unlock's "main queue empty but
 // secondary queue populated" path (Figure 4 lines 27-33).
 func TestSecondaryFlushViaTailCAS(t *testing.T) {
-	l := New(8)
+	l := New()
 	l.forceKeepLocal = 1
 	t0 := locks.NewThread(0, 0)
 	t1 := locks.NewThread(1, 1)
 	t2 := locks.NewThread(2, 0)
 
-	n0, n1, n2 := &Node{}, &Node{}, &Node{}
+	n0, n1, n2 := &locks.Node{}, &locks.Node{}, &locks.Node{}
 	enqueue(l, n0, 0) // holder (socket 0)
 	enqueue(l, n1, 1) // remote waiter
 	enqueue(l, n2, 0) // local waiter
 
 	// Handover to n2 moves n1 to the secondary queue.
 	l.unlockNode(n0, t0)
-	if n2.spin.Load() != n1 {
+	if n2.Spin.Load() != n1 {
 		t.Fatal("n2 did not receive lock with secondary head n1")
 	}
 	// n2 unlocks with an empty main queue: the tail must swing to the
 	// secondary tail (n1 itself) and n1 gets the lock.
 	l.unlockNode(n2, t2)
-	if n1.spin.Load() != granted {
+	if n1.Spin.Load() != granted {
 		t.Fatal("secondary head not granted the lock on flush")
 	}
 	if l.tail.Load() != n1 {
@@ -197,11 +197,11 @@ func TestSecondaryFlushViaTailCAS(t *testing.T) {
 // branch: the holder must hand the lock to the secondary queue even
 // though a same-socket waiter exists.
 func TestFairnessPathPassesToSecondary(t *testing.T) {
-	l := New(8)
+	l := New()
 	l.forceKeepLocal = 1
 	t0 := locks.NewThread(0, 0)
 
-	n0, n1, n2, n3 := &Node{}, &Node{}, &Node{}, &Node{}
+	n0, n1, n2, n3 := &locks.Node{}, &locks.Node{}, &locks.Node{}, &locks.Node{}
 	enqueue(l, n0, 0)
 	enqueue(l, n1, 1)
 	enqueue(l, n2, 0)
@@ -213,7 +213,7 @@ func TestFairnessPathPassesToSecondary(t *testing.T) {
 	l.forceKeepLocal = -1
 	t2 := locks.NewThread(2, 0)
 	l.unlockNode(n2, t2)
-	if n1.spin.Load() != granted {
+	if n1.Spin.Load() != granted {
 		t.Fatal("secondary head n1 not granted on fairness flush")
 	}
 	chain(t, "after fairness flush", n1, n3)
@@ -222,12 +222,11 @@ func TestFairnessPathPassesToSecondary(t *testing.T) {
 // TestUncontendedPath: a single thread's lock/unlock leaves no residue
 // and never records a socket (the fast path must not query topology).
 func TestUncontendedPath(t *testing.T) {
-	l := New(1)
+	l := New()
 	th := locks.NewThread(0, 1)
 	for i := 0; i < 10; i++ {
 		l.Lock(th)
-		n := &l.arena.nodes[0][0]
-		if n.socket != -1 {
+		if th.Node(0).Socket != -1 {
 			t.Fatal("uncontended lock recorded a socket")
 		}
 		l.Unlock(th)
@@ -248,7 +247,7 @@ func TestMutualExclusion(t *testing.T) {
 		opts := opts
 		t.Run(name, func(t *testing.T) {
 			const threads, iters = 8, 300
-			l := NewWithOptions(threads, opts)
+			l := NewWithOptions(opts)
 			place := numa.NewPlacement(numa.TwoSocketXeonE5(), threads, numa.Spread)
 			var counter int
 			var wg sync.WaitGroup
@@ -279,7 +278,7 @@ func TestMutualExclusion(t *testing.T) {
 // must degenerate to exact MCS behaviour.
 func TestFIFOModeNeverTouchesSecondaryQueue(t *testing.T) {
 	const threads, iters = 6, 200
-	l := NewWithOptions(threads, Options{KeepLocalMask: 0})
+	l := NewWithOptions(Options{KeepLocalMask: 0})
 	l.EnableStats()
 	var wg sync.WaitGroup
 	var counter int
@@ -327,10 +326,10 @@ func TestLocalityBeatsMCS(t *testing.T) {
 		wg.Wait()
 	}
 
-	cna := New(threads)
+	cna := New()
 	cna.EnableStats()
 	run(cna)
-	mcs := locks.NewMCS(threads)
+	mcs := locks.NewMCS()
 	mcs.EnableStats()
 	run(mcs)
 
@@ -341,10 +340,11 @@ func TestLocalityBeatsMCS(t *testing.T) {
 	}
 }
 
-func TestNestedCNALocksShareArena(t *testing.T) {
-	arena := NewArena(4)
-	a := NewWithArena(arena, DefaultOptions())
-	b := NewWithArena(arena, DefaultOptions())
+// TestNestedCNALocksShareThreadNodes: two CNA locks nested by the same
+// threads queue the threads' depth-0 and depth-1 nodes, whichever lock
+// they are for.
+func TestNestedCNALocksShareThreadNodes(t *testing.T) {
+	a, b := New(), New()
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -367,13 +367,13 @@ func TestNestedCNALocksShareArena(t *testing.T) {
 	}
 }
 
-func TestManyLocksOneArena(t *testing.T) {
-	// The compactness claim in practice: 1000 locks, one arena, no
-	// per-lock node storage.
-	arena := NewArena(4)
+// TestManyLocksThreadNodes: the compactness claim in practice — 1000
+// locks, no per-lock node storage, every acquisition queueing one of the
+// acquiring thread's own nodes.
+func TestManyLocksThreadNodes(t *testing.T) {
 	ls := make([]*Lock, 1000)
 	for i := range ls {
-		ls[i] = NewWithArena(arena, DefaultOptions())
+		ls[i] = New()
 	}
 	var wg sync.WaitGroup
 	counters := make([]int, len(ls))
@@ -404,7 +404,7 @@ func TestManyLocksOneArena(t *testing.T) {
 // progress against a local-heavy majority when the fairness mask is
 // small.
 func TestNoStarvationWithAggressiveFairness(t *testing.T) {
-	l := NewWithOptions(4, Options{KeepLocalMask: 0x3}) // flush ~25% of handovers
+	l := NewWithOptions(Options{KeepLocalMask: 0x3}) // flush ~25% of handovers
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -442,17 +442,11 @@ func TestOptionsConstructors(t *testing.T) {
 	if !o.ShuffleReduction || o.ShuffleMask != 0xff {
 		t.Errorf("OptimizedOptions = %+v", o)
 	}
-	if New(2).Name() != "CNA" {
+	if New().Name() != "CNA" {
 		t.Error("default lock name")
 	}
-	if NewWithOptions(2, o).Name() != "CNA-opt" {
+	if NewWithOptions(o).Name() != "CNA-opt" {
 		t.Error("optimized lock name")
-	}
-}
-
-func TestArenaMaxThreads(t *testing.T) {
-	if NewArena(7).MaxThreads() != 7 {
-		t.Error("MaxThreads mismatch")
 	}
 }
 
@@ -462,7 +456,7 @@ func TestCNAQuiescenceProperty(t *testing.T) {
 	f := func(nThreads, nIters uint8, mask uint16) bool {
 		threads := int(nThreads)%5 + 2
 		iters := int(nIters)%40 + 1
-		l := NewWithOptions(threads, Options{KeepLocalMask: uint64(mask)})
+		l := NewWithOptions(Options{KeepLocalMask: uint64(mask)})
 		var counter int
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
@@ -490,7 +484,7 @@ func TestCNAQuiescenceProperty(t *testing.T) {
 func TestShuffleReductionReducesAlterations(t *testing.T) {
 	run := func(opts Options) uint64 {
 		const threads, iters = 6, 300
-		l := NewWithOptions(threads, opts)
+		l := NewWithOptions(opts)
 		l.EnableStats()
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
@@ -515,7 +509,7 @@ func TestShuffleReductionReducesAlterations(t *testing.T) {
 }
 
 func BenchmarkCNAUncontended(b *testing.B) {
-	l := New(1)
+	l := New()
 	th := locks.NewThread(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -525,7 +519,7 @@ func BenchmarkCNAUncontended(b *testing.B) {
 }
 
 func BenchmarkMCSUncontendedBaseline(b *testing.B) {
-	l := locks.NewMCS(1)
+	l := locks.NewMCS()
 	th := locks.NewThread(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ func TestFairnessCountdownCorrectness(t *testing.T) {
 	const threads, iters = 8, 300
 	opts := DefaultOptions()
 	opts.FairnessCountdown = true
-	l := NewWithOptions(threads, opts)
+	l := NewWithOptions(opts)
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -37,7 +37,7 @@ func TestFairnessCountdownCorrectness(t *testing.T) {
 
 func TestFairnessCountdownRedrawsBudget(t *testing.T) {
 	opts := Options{KeepLocalMask: 0x3, FairnessCountdown: true}
-	l := NewWithOptions(2, opts)
+	l := NewWithOptions(opts)
 	th := locks.NewThread(0, 0)
 
 	// Drive keepLockLocal directly: the first call after a zero budget
@@ -65,7 +65,7 @@ func TestFairnessCountdownMatchesExpectedRate(t *testing.T) {
 	// only that the per-handover PRNG call disappears while flushes stay
 	// rare; verify the countdown's flush rate is within a small factor.
 	opts := Options{KeepLocalMask: 0xff, FairnessCountdown: true}
-	l := NewWithOptions(2, opts)
+	l := NewWithOptions(opts)
 	th := locks.NewThread(0, 0)
 	flushes := 0
 	const calls = 100000
@@ -82,7 +82,7 @@ func TestFairnessCountdownMatchesExpectedRate(t *testing.T) {
 }
 
 func BenchmarkKeepLockLocalPRNG(b *testing.B) {
-	l := New(1)
+	l := New()
 	th := locks.NewThread(0, 0)
 	for i := 0; i < b.N; i++ {
 		l.keepLockLocal(th)
@@ -92,7 +92,7 @@ func BenchmarkKeepLockLocalPRNG(b *testing.B) {
 func BenchmarkKeepLockLocalCountdown(b *testing.B) {
 	opts := DefaultOptions()
 	opts.FairnessCountdown = true
-	l := NewWithOptions(1, opts)
+	l := NewWithOptions(opts)
 	th := locks.NewThread(0, 0)
 	for i := 0; i < b.N; i++ {
 		l.keepLockLocal(th)

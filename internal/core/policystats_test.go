@@ -16,8 +16,8 @@ import (
 // policyQueue builds the canonical scenario: holder on socket 0 entered
 // an empty queue, then a remote (socket 1) and a local (socket 0) waiter
 // enqueue behind it.
-func policyQueue(l *Lock) (n0, n1, n2 *Node) {
-	n0, n1, n2 = &Node{}, &Node{}, &Node{}
+func policyQueue(l *Lock) (n0, n1, n2 *locks.Node) {
+	n0, n1, n2 = &locks.Node{}, &locks.Node{}, &locks.Node{}
 	enqueue(l, n0, 0)
 	enqueue(l, n1, 1)
 	enqueue(l, n2, 0)
@@ -34,7 +34,7 @@ func TestKeepLocalForcedStatsBothWays(t *testing.T) {
 			// forceKeepLocal = +1: the holder must scan, move the remote
 			// waiter to the secondary queue (one alteration, one move) and
 			// flush it back when the main queue drains (one flush).
-			l := NewWithOptions(4, opts)
+			l := NewWithOptions(opts)
 			l.EnableStats()
 			l.forceKeepLocal = 1
 			th0 := locks.NewThread(0, 0)
@@ -49,7 +49,7 @@ func TestKeepLocalForcedStatsBothWays(t *testing.T) {
 			if st.Flushes != 0 {
 				t.Fatalf("local handover flushed %d times, want 0", st.Flushes)
 			}
-			if n2.spin.Load() != n1 {
+			if n2.Spin.Load() != n1 {
 				t.Fatal("local successor did not inherit the secondary head")
 			}
 
@@ -60,7 +60,7 @@ func TestKeepLocalForcedStatsBothWays(t *testing.T) {
 			if st.Flushes != 1 {
 				t.Fatalf("drain flushed %d times, want 1", st.Flushes)
 			}
-			if n1.spin.Load() != granted {
+			if n1.Spin.Load() != granted {
 				t.Fatal("secondary head not granted the lock on drain")
 			}
 			th1 := locks.NewThread(1, 1)
@@ -69,16 +69,16 @@ func TestKeepLocalForcedStatsBothWays(t *testing.T) {
 			// forceKeepLocal = -1: handovers are strict FIFO — the scan
 			// never runs, no secondary queue ever forms, every counter
 			// stays put.
-			l2 := NewWithOptions(4, opts)
+			l2 := NewWithOptions(opts)
 			l2.EnableStats()
 			l2.forceKeepLocal = -1
 			m0, m1, m2 := policyQueue(l2)
 			l2.unlockNode(m0, th0)
-			if m1.spin.Load() != granted {
+			if m1.Spin.Load() != granted {
 				t.Fatal("FIFO handover skipped the immediate successor")
 			}
 			l2.unlockNode(m1, th1)
-			if m2.spin.Load() != granted {
+			if m2.Spin.Load() != granted {
 				t.Fatal("FIFO handover skipped the second waiter")
 			}
 			l2.unlockNode(m2, th2)
@@ -102,7 +102,7 @@ func TestShuffleReductionStats(t *testing.T) {
 	// the remote immediate successor gets the lock MCS-style.
 	opts := OptimizedOptions()
 	opts.ShuffleMask = ^uint64(0)
-	skip := NewWithOptions(4, opts)
+	skip := NewWithOptions(opts)
 	skip.EnableStats()
 	skip.forceKeepLocal = 1
 	n0, n1, _ := policyQueue(skip)
@@ -111,14 +111,14 @@ func TestShuffleReductionStats(t *testing.T) {
 	if st.QueueAlterations != 0 || st.SecondaryMoves != 0 {
 		t.Fatalf("shuffle-skip run altered the queue: %+v", st)
 	}
-	if n1.spin.Load() != granted {
+	if n1.Spin.Load() != granted {
 		t.Fatal("shuffle-skip did not hand over to the immediate successor")
 	}
 
 	// Mask zero: the draw always says "scan"; the counters match plain
 	// CNA on the identical scenario.
 	opts.ShuffleMask = 0
-	scan := NewWithOptions(4, opts)
+	scan := NewWithOptions(opts)
 	scan.EnableStats()
 	scan.forceKeepLocal = 1
 	m0, m1, m2 := policyQueue(scan)
@@ -128,7 +128,7 @@ func TestShuffleReductionStats(t *testing.T) {
 		t.Fatalf("shuffle-scan run: alterations=%d moves=%d, want 1/1",
 			st2.QueueAlterations, st2.SecondaryMoves)
 	}
-	if m2.spin.Load() != m1 {
+	if m2.Spin.Load() != m1 {
 		t.Fatal("shuffle-scan did not pass the secondary head to the local successor")
 	}
 }

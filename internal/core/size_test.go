@@ -4,14 +4,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"repro/internal/locks"
 )
 
 // TestSharedStateIsOneWord pins the paper's central claim: the CNA
 // lock's shared state — the memory other threads' lock/unlock hot paths
 // touch — is a single word (the queue-tail pointer), regardless of the
 // socket count. The remaining Lock fields are holder-private
-// configuration/statistics, and the node Arena is shared across any
-// number of locks.
+// configuration/statistics, and the queue nodes are the threads' own.
 func TestSharedStateIsOneWord(t *testing.T) {
 	var l Lock
 	if got := unsafe.Sizeof(l.tail); got != unsafe.Sizeof(uintptr(0)) {
@@ -20,27 +21,12 @@ func TestSharedStateIsOneWord(t *testing.T) {
 	}
 }
 
-// TestNodeIsExactlyOneCacheLine: a queue node must fill exactly one
-// 64-byte cache line (the paper's cna_node_t with padding) — neither
-// straddling two lines nor leaving a tail that a neighbouring node's hot
-// fields could share.
-func TestNodeIsExactlyOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 64 {
-		t.Fatalf("Node is %d bytes, want exactly 64", got)
-	}
-	// Nodes are indexed by stride arithmetic off a cached base; the
-	// stride constant must match the real size.
-	if nodeBytes != unsafe.Sizeof(Node{}) {
-		t.Fatalf("nodeBytes = %d, want %d", nodeBytes, unsafe.Sizeof(Node{}))
-	}
-}
-
 // TestTailIsolatedFromHolderFields: arriving threads Swap the tail word
 // continuously; every mutable holder-side field (options are read-only
-// after construction, but the stats pointer target, countdown slice and
-// the fields behind them are written by the holder) must live on a
-// different cache line, or contended arrivals would invalidate the
-// holder's line on every enqueue.
+// after construction, but the stats pointer target and the fields
+// behind it are written by the holder) must live on a different cache
+// line, or contended arrivals would invalidate the holder's line on
+// every enqueue.
 func TestTailIsolatedFromHolderFields(t *testing.T) {
 	const line = 64
 	var l Lock
@@ -49,9 +35,7 @@ func TestTailIsolatedFromHolderFields(t *testing.T) {
 	}
 	for name, off := range map[string]uintptr{
 		"opts":           unsafe.Offsetof(l.opts),
-		"arena":          unsafe.Offsetof(l.arena),
 		"stats":          unsafe.Offsetof(l.stats),
-		"countdown":      unsafe.Offsetof(l.countdown),
 		"forceKeepLocal": unsafe.Offsetof(l.forceKeepLocal),
 	} {
 		if off < line {
@@ -61,32 +45,32 @@ func TestTailIsolatedFromHolderFields(t *testing.T) {
 	}
 }
 
-// TestClearNextLayoutAssumption: clearNext bypasses the atomic store by
+// TestClearNextLayoutAssumption: ClearNext bypasses the atomic store by
 // writing the pointer word directly, which is sound only while
 // atomic.Pointer is exactly one pointer word with no header. Pin that
 // layout, and the plain-write/atomic-read agreement, so a stdlib change
 // fails loudly here instead of corrupting queues.
 func TestClearNextLayoutAssumption(t *testing.T) {
-	if got := unsafe.Sizeof(atomic.Pointer[Node]{}); got != unsafe.Sizeof(unsafe.Pointer(nil)) {
-		t.Fatalf("atomic.Pointer[Node] is %d bytes, want pointer-sized", got)
+	if got := unsafe.Sizeof(atomic.Pointer[locks.Node]{}); got != unsafe.Sizeof(unsafe.Pointer(nil)) {
+		t.Fatalf("atomic.Pointer[locks.Node] is %d bytes, want pointer-sized", got)
 	}
-	var n, other Node
-	n.next.Store(&other)
-	n.clearNext()
-	if got := n.next.Load(); got != nil {
-		t.Fatalf("after clearNext, next = %p, want nil", got)
+	var n, other locks.Node
+	n.Next.Store(&other)
+	n.ClearNext()
+	if got := n.Next.Load(); got != nil {
+		t.Fatalf("after ClearNext, next = %p, want nil", got)
 	}
 }
 
-// TestArenaScalesWithThreadsNotLocks: arena memory is independent of the
-// number of locks sharing it.
-func TestArenaScalesWithThreadsNotLocks(t *testing.T) {
-	arena := NewArena(4)
-	before := len(arena.nodes)
-	for i := 0; i < 100; i++ {
-		NewWithArena(arena, DefaultOptions())
+// TestNewAllocatesOnlyTheLock: a CNA lock is one allocation, the Lock
+// struct itself, and no node storage of any size — the queue nodes are
+// the threads' own.
+func TestNewAllocatesOnlyTheLock(t *testing.T) {
+	var sink *Lock
+	for _, opts := range []Options{DefaultOptions(), OptimizedOptions(), {KeepLocalMask: 0xff, FairnessCountdown: true}} {
+		if n := testing.AllocsPerRun(100, func() { sink = NewWithOptions(opts) }); n != 1 {
+			t.Errorf("NewWithOptions(%+v) made %v allocations, want 1", opts, n)
+		}
 	}
-	if len(arena.nodes) != before {
-		t.Fatal("creating locks grew the arena")
-	}
+	_ = sink
 }

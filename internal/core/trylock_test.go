@@ -12,7 +12,7 @@ import (
 // prober's node park state untouched even when the lock's blocking
 // paths park, and must never consume a nesting slot on failure.
 func TestCNATryLockNeverTouchesWaiterState(t *testing.T) {
-	l := NewWithOptions(2, DefaultOptions())
+	l := NewWithOptions(DefaultOptions())
 	l.SetWait(waiter.SpinThenPark{})
 	holder, prober := locks.NewThread(0, 0), locks.NewThread(1, 1)
 	l.Lock(holder)
@@ -24,8 +24,8 @@ func TestCNATryLockNeverTouchesWaiterState(t *testing.T) {
 			t.Fatalf("failed TryLock left nesting depth %d", d)
 		}
 	}
-	for j := range l.arena.nodes[prober.ID] {
-		st := &l.arena.nodes[prober.ID][j].wait
+	for j := 0; j < locks.MaxNesting; j++ {
+		st := &prober.Node(j).Wait
 		if st.Parks() != 0 || st.Parked() {
 			t.Fatalf("slot %d park state moved on a failed TryLock", j)
 		}
@@ -37,7 +37,7 @@ func TestCNATryLockNeverTouchesWaiterState(t *testing.T) {
 	if !l.TryLock(prober) {
 		t.Fatal("TryLock failed on a free CNA lock")
 	}
-	if got := l.arena.nodes[prober.ID][0].socket; got != -1 {
+	if got := prober.Node(0).Socket; got != -1 {
 		t.Fatalf("TryLock recorded socket %d; the fast path must skip the lookup", got)
 	}
 	l.Unlock(prober)

@@ -267,8 +267,7 @@ func TestNativeNames(t *testing.T) {
 }
 
 // TestNativeSharedPool: adapters over one pool share thread identities
-// without corrupting either lock's queues (the pool analogue of a
-// shared CNA arena).
+// and their queue nodes without corrupting either lock's queues.
 func TestNativeSharedPool(t *testing.T) {
 	env := testEnv(4)
 	pool := NewPool(4, env.Topology)

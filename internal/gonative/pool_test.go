@@ -4,7 +4,8 @@ package gonative
 // neighbouring goroutines over the slots, a goroutine reclaims the slot
 // it released with its construction-time socket, a full pool fails a
 // claim cleanly after probing every slot (wrapping around), and each
-// slot owns whole cache lines holding its Thread and PRNG state.
+// slot owns whole cache lines holding its Thread and PRNG state, its
+// Thread's queue node on a line pair of its own.
 
 import (
 	"testing"
@@ -116,12 +117,17 @@ func TestFullPoolProbesWrapAround(t *testing.T) {
 // TestSlotLayout: every slot fills whole 64-byte cache lines starting
 // on a line boundary, and its Thread's RNG is the PRNG state embedded
 // in that same slot — so no slot's busy word, nesting counter or PRNG
-// writes land on a line another slot uses.
+// writes land on a line another slot uses. The Thread's one queue node
+// (depth 0) starts a 128-byte line pair that holds no busy word and no
+// slot's fields.
 func TestSlotLayout(t *testing.T) {
-	const line = 64
+	const line, pair = 64, 128
 	size := unsafe.Sizeof(slot{})
 	if size%line != 0 {
 		t.Fatalf("slot is %d bytes, want a multiple of %d", size, line)
+	}
+	if size := unsafe.Sizeof(slotNode{}); size != pair {
+		t.Fatalf("slotNode is %d bytes, want one %d-byte line pair", size, pair)
 	}
 	for _, capacity := range []int{1, 3, 8, 100} {
 		p := NewPool(capacity, numa.TwoSocketXeonE5())
@@ -134,6 +140,15 @@ func TestSlotLayout(t *testing.T) {
 			}
 			if sl.th.RNG != &sl.rng {
 				t.Fatalf("slot %d's thread draws from a PRNG outside the slot", i)
+			}
+			n := uintptr(unsafe.Pointer(sl.th.Node(0)))
+			if n%pair != 0 {
+				t.Fatalf("capacity %d: slot %d's node at %#x, not at the start of a line pair", capacity, i, n)
+			}
+			for j, other := range p.slots {
+				if lo := uintptr(unsafe.Pointer(other)); lo < n+pair && n < lo+size {
+					t.Fatalf("capacity %d: slot %d's node pair overlaps slot %d", capacity, i, j)
+				}
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func TestRunProducesOps(t *testing.T) {
 		Threads:  4,
 		Duration: 50 * time.Millisecond,
 		Repeats:  2,
-	}, kvWorkload(func(n int) locks.Mutex { return core.New(n) }))
+	}, kvWorkload(func(n int) locks.Mutex { return core.New() }))
 	if res.TotalOps == 0 {
 		t.Fatal("no operations completed")
 	}
@@ -49,7 +49,7 @@ func TestRunDefaultsNormalised(t *testing.T) {
 		Threads: 1,
 		// Duration and Repeats left zero: must be normalised, not hang.
 		Duration: 10 * time.Millisecond,
-	}, kvWorkload(func(n int) locks.Mutex { return locks.NewMCS(n) }))
+	}, kvWorkload(func(n int) locks.Mutex { return locks.NewMCS() }))
 	if res.TotalOps == 0 {
 		t.Fatal("no ops with default repeats")
 	}
@@ -61,7 +61,7 @@ func TestSweep(t *testing.T) {
 		Topo:     numa.TwoSocketXeonE5(),
 		Duration: 20 * time.Millisecond,
 		Repeats:  1,
-	}, []int{1, 2}, kvWorkload(func(n int) locks.Mutex { return locks.NewMCS(n) }))
+	}, []int{1, 2}, kvWorkload(func(n int) locks.Mutex { return locks.NewMCS() }))
 	if len(results) != 2 || results[0].Threads != 1 || results[1].Threads != 2 {
 		t.Fatalf("sweep results malformed: %+v", results)
 	}

@@ -69,7 +69,7 @@ func TestLockrefConcurrentBalance(t *testing.T) {
 func TestLockrefOnMutexLocking(t *testing.T) {
 	const threads, iters = 8, 300
 	topo := numa.TwoSocketXeonE5()
-	lk := NewMutexLocking(func() locks.Mutex { return locks.NewMCS(threads) }, threads, topo.SocketOf)
+	lk := NewMutexLocking(func() locks.Mutex { return locks.NewMCS() }, threads, topo.SocketOf)
 	l := NewLockref(lk)
 	var wg sync.WaitGroup
 	for c := 0; c < threads; c++ {
@@ -246,7 +246,7 @@ func TestOpenCloseSharedDirectory(t *testing.T) {
 func TestKernelOnMutexLocking(t *testing.T) {
 	const threads, iters = 4, 100
 	topo := numa.TwoSocketXeonE5()
-	lk := NewMutexLocking(func() locks.Mutex { return locks.NewMCS(threads) }, threads, topo.SocketOf)
+	lk := NewMutexLocking(func() locks.Mutex { return locks.NewMCS() }, threads, topo.SocketOf)
 	k := NewKernelOn(lk)
 	fs := k.NewFiles(256)
 	dir := k.LookupOrCreateDir(0, k.Root, "tmp")

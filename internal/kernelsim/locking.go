@@ -47,9 +47,9 @@ func (l *domainLock) Release(int)     { l.l.Unlock() }
 
 // MutexLocking runs the VFS on user-space locks: one locks.Mutex per
 // lock site, one locks.Thread per virtual CPU. All lock sites share the
-// thread contexts, which is safe because each Thread's queue-node cache
-// is keyed by lock storage and a cpu index is only ever driven by one
-// goroutine at a time.
+// thread contexts, which is safe because a Thread's queue nodes serve
+// whichever lock it acquires (one node per nesting depth) and a cpu
+// index is only ever driven by one goroutine at a time.
 type MutexLocking struct {
 	newLock func() locks.Mutex
 	threads []*locks.Thread

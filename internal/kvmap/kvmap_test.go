@@ -123,7 +123,7 @@ func TestAVLMatchesReferenceProperty(t *testing.T) {
 }
 
 func TestMapPrefill(t *testing.T) {
-	m := NewMap(locks.NewMCS(1))
+	m := NewMap(locks.NewMCS())
 	th := locks.NewThread(0, 0)
 	m.Prefill(th, 1024, 42)
 	if got := m.Len(th); got != 512 {
@@ -135,7 +135,7 @@ func TestMapConcurrentMixedOps(t *testing.T) {
 	// The actual §7.1.1 benchmark in miniature, over the real CNA lock:
 	// concurrent mixed operations must leave a structurally valid tree.
 	const threads = 8
-	m := NewMap(core.New(threads))
+	m := NewMap(core.New())
 	setup := locks.NewThread(0, 0)
 	m.Prefill(setup, 1024, 7)
 
@@ -162,8 +162,8 @@ func TestMapConcurrentMixedOps(t *testing.T) {
 
 func TestMapConcurrentUnderEveryLock(t *testing.T) {
 	mks := map[string]func() locks.Mutex{
-		"MCS": func() locks.Mutex { return locks.NewMCS(4) },
-		"CNA": func() locks.Mutex { return core.New(4) },
+		"MCS": func() locks.Mutex { return locks.NewMCS() },
+		"CNA": func() locks.Mutex { return core.New() },
 		"TKT": func() locks.Mutex { return locks.NewTicket() },
 	}
 	for name, mk := range mks {
@@ -194,7 +194,7 @@ func TestMapConcurrentUnderEveryLock(t *testing.T) {
 }
 
 func TestWorkloadOpMixAndExternalWork(t *testing.T) {
-	m := NewMap(locks.NewMCS(1))
+	m := NewMap(locks.NewMCS())
 	th := locks.NewThread(0, 0)
 	w := Workload{KeyRange: 16, UpdatePermille: 1000, ExternalWork: 10}
 	for i := 0; i < 300; i++ {

@@ -10,15 +10,12 @@ import (
 	"repro/internal/locks"
 )
 
-func newDB(threads, slots int) *DB {
-	arena := core.NewArena(threads)
-	return New(slots, func() locks.Mutex {
-		return core.NewWithArena(arena, core.DefaultOptions())
-	})
+func newDB(slots int) *DB {
+	return New(slots, func() locks.Mutex { return core.New() })
 }
 
 func TestSetGetRemove(t *testing.T) {
-	db := newDB(1, 4)
+	db := newDB(4)
 	th := locks.NewThread(0, 0)
 	db.Set(th, 7, []byte("hello"))
 	v, ok := db.Get(th, 7)
@@ -37,7 +34,7 @@ func TestSetGetRemove(t *testing.T) {
 }
 
 func TestGetReturnsCopy(t *testing.T) {
-	db := newDB(1, 2)
+	db := newDB(2)
 	th := locks.NewThread(0, 0)
 	db.Set(th, 1, []byte{1, 2, 3})
 	v, _ := db.Get(th, 1)
@@ -49,7 +46,7 @@ func TestGetReturnsCopy(t *testing.T) {
 }
 
 func TestAppend(t *testing.T) {
-	db := newDB(1, 2)
+	db := newDB(2)
 	th := locks.NewThread(0, 0)
 	db.Append(th, 5, []byte("ab"))
 	db.Append(th, 5, []byte("cd"))
@@ -60,7 +57,7 @@ func TestAppend(t *testing.T) {
 }
 
 func TestIncrement(t *testing.T) {
-	db := newDB(1, 2)
+	db := newDB(2)
 	th := locks.NewThread(0, 0)
 	if v := db.Increment(th, 9, 5); v != 5 {
 		t.Fatalf("first Increment = %d", v)
@@ -71,7 +68,7 @@ func TestIncrement(t *testing.T) {
 }
 
 func TestCountCrossSlot(t *testing.T) {
-	db := newDB(1, 8)
+	db := newDB(8)
 	th := locks.NewThread(0, 0)
 	for i := uint64(0); i < 100; i++ {
 		db.Set(th, i, []byte{byte(i)})
@@ -82,7 +79,7 @@ func TestCountCrossSlot(t *testing.T) {
 }
 
 func TestSlotClamp(t *testing.T) {
-	db := newDB(1, 0)
+	db := newDB(0)
 	th := locks.NewThread(0, 0)
 	db.Set(th, 1, []byte("x"))
 	if n := db.Count(th); n != 1 {
@@ -92,7 +89,7 @@ func TestSlotClamp(t *testing.T) {
 
 func TestConcurrentWicked(t *testing.T) {
 	const threads = 8
-	db := newDB(threads, 16)
+	db := newDB(16)
 	w := Wicked{KeyRange: 512, ValueSize: 8}
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -116,7 +113,7 @@ func TestConcurrentWicked(t *testing.T) {
 func TestConcurrentIncrementExact(t *testing.T) {
 	// Increments are the mutual-exclusion acid test: no lost updates.
 	const threads, iters = 6, 400
-	db := newDB(threads, 4)
+	db := newDB(4)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)

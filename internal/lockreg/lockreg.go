@@ -19,11 +19,15 @@
 // # Environments and options
 //
 // An Env carries the machine-shaped inputs every constructor may need:
-// the thread-ID bound, the NUMA topology (socket count) and an optional
-// shared CNA node Arena. Functional options (WithThreshold, WithBackoff,
-// WithMaxLocalPasses, ...) tune the per-algorithm policy knobs; options
-// an algorithm does not understand are ignored, so one option list can
-// configure a whole sweep. Defaults are the paper's settings.
+// the thread-ID bound and the NUMA topology (socket count). Queue nodes
+// are not among them: MCS, MCSCR and CNA queue the threads' own nodes
+// (see locks.Node), so those locks cost the same whatever the bound.
+// Functional options (WithThreshold, WithBackoff, WithMaxLocalPasses,
+// ...) tune the per-algorithm policy knobs; options an algorithm does
+// not understand are ignored, so one option list can configure a whole
+// sweep. Build applies them once, into one config the whole stack of
+// layers reads, and not at all when there are none. Defaults are the
+// paper's settings.
 //
 // # Composition
 //
@@ -88,20 +92,18 @@ const (
 )
 
 // Env carries the construction-time environment shared by all lock
-// algorithms: how many threads will use the lock, what machine they run
-// on, and (for CNA) where queue nodes live.
+// algorithms: how many threads will use the lock and what machine they
+// run on.
 type Env struct {
 	// MaxThreads bounds the thread IDs that will use the lock; values
-	// below 1 are treated as 1.
+	// below 1 are treated as 1. Locks that keep per-thread state of their
+	// own (CLH, HMCS, the cohort locals, the RW reader park states) size
+	// it by this bound.
 	MaxThreads int
 	// Topology is the (virtual) NUMA machine; its socket count sizes the
 	// hierarchical locks. A zero Topology means the paper's primary
 	// 2-socket machine.
 	Topology numa.Topology
-	// Arena, when non-nil, is the shared CNA queue-node storage every CNA
-	// lock built from this Env draws from — the paper's "million locks,
-	// one arena" deployment. When nil, each CNA lock gets a private arena.
-	Arena *core.Arena
 }
 
 // Sockets returns the topology's socket count (at least 1).
@@ -118,14 +120,6 @@ func (e Env) Threads() int {
 		return 1
 	}
 	return e.MaxThreads
-}
-
-// arena returns the shared arena, or a private one sized for the Env.
-func (e Env) arena() *core.Arena {
-	if e.Arena != nil {
-		return e.Arena
-	}
-	return core.NewArena(e.Threads())
 }
 
 // Spec describes one registered lock algorithm.
@@ -156,6 +150,7 @@ type Spec struct {
 	// Build constructs a lock instance for the given environment. Every
 	// registered lock honours the bounded-wait contract, so the result is
 	// typed as a locks.TimedMutex and layers wrap it without assertions.
+	// register derives it from build.
 	Build func(Env, ...Option) locks.TimedMutex
 	// Native, when set, builds the algorithm's own goroutine-native form
 	// directly — only the stdlib baselines have one (sync.Mutex needs no
@@ -167,6 +162,11 @@ type Spec struct {
 	// build supports LockTimeout/LockContext (locks.ContextLock gives
 	// the context form away once LockTimeout exists).
 	Native func(Env, ...Option) locks.TimedNativeMutex
+
+	// build is Build with the options already applied: Build applies
+	// them once and hands the config down, through every layer, to the
+	// base.
+	build buildFunc
 }
 
 // registry holds Specs in registration order (the order All and Names
@@ -176,38 +176,54 @@ var registry struct {
 	index map[string]int
 }
 
-// normalize maps a user spelling to an index key: lower-cased, with
-// spaces, parentheses and underscores treated as interchangeable with
-// dashes ("CNA (opt)" == "cna-opt" == "cna_opt").
-func normalize(name string) string {
-	s := strings.ToLower(strings.TrimSpace(name))
-	s = strings.NewReplacer(" ", "-", "_", "-", "(", "", ")", "").Replace(s)
-	for strings.Contains(s, "--") {
-		s = strings.ReplaceAll(s, "--", "-")
+// appendKey appends the index key of a user spelling to dst: ASCII
+// lower-cased, with spaces and underscores treated as interchangeable
+// with dashes and parentheses dropped ("CNA (opt)" == "cna-opt" ==
+// "cna_opt"), runs of dashes collapsed and outer dashes trimmed. It
+// writes into dst, so a lookup through a stack buffer allocates nothing.
+func appendKey(dst []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c == '(' || c == ')':
+		case c == ' ' || c == '_' || c == '-' || c == '\t' || c == '\n' || c == '\r':
+			if len(dst) > 0 && dst[len(dst)-1] != '-' {
+				dst = append(dst, '-')
+			}
+		case 'A' <= c && c <= 'Z':
+			dst = append(dst, c+'a'-'A')
+		default:
+			dst = append(dst, c)
+		}
 	}
-	return strings.Trim(s, "-")
+	if n := len(dst); n > 0 && dst[n-1] == '-' {
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
-// Register adds a Spec to the registry. It panics on duplicate or empty
+// normalize returns the index key of a user spelling (see appendKey).
+func normalize(name string) string { return string(appendKey(nil, name)) }
+
+// register adds a Spec to the registry. It panics on duplicate or empty
 // names — registration happens at init time, so a clash is a programming
 // error, not a runtime condition.
 //
-// Register wraps the Spec's Build so that cross-cutting options are
+// register wraps the Spec's build so that cross-cutting options are
 // honoured uniformly: WithStats(true) calls EnableStats on any built
 // lock implementing locks.StatsEnabler, and WithWait sets the waiting
-// policy on any lock implementing waiter.Setter, so individual Build
-// funcs stay oblivious to instrumentation and wait plumbing.
-func Register(s Spec) {
-	if s.Name == "" || s.Build == nil {
-		panic("lockreg: Spec needs a Name and a Build func")
+// policy on any lock implementing waiter.Setter, so individual build
+// funcs stay oblivious to instrumentation and wait plumbing. Build is
+// the wrapped build behind one apply of the caller's options.
+func register(s Spec) {
+	if s.Name == "" || s.build == nil {
+		panic("lockreg: Spec needs a Name and a build func")
 	}
 	if s.Wait == "" {
 		s.Wait = waiter.Default.Name()
 	}
-	build := s.Build
-	s.Build = func(env Env, opts ...Option) locks.TimedMutex {
-		m := build(env, opts...)
-		c := apply(opts)
+	build := s.build
+	s.build = func(env Env, c config) locks.TimedMutex {
+		m := build(env, c)
 		if c.wait != nil {
 			if ws, ok := m.(waiter.Setter); ok {
 				ws.SetWait(c.wait)
@@ -219,6 +235,9 @@ func Register(s Spec) {
 			}
 		}
 		return m
+	}
+	s.Build = func(env Env, opts ...Option) locks.TimedMutex {
+		return s.build(env, apply(opts))
 	}
 	if registry.index == nil {
 		registry.index = make(map[string]int)
@@ -257,7 +276,8 @@ func Names() []string {
 
 // Lookup resolves a (case-insensitive) name or alias to its Spec.
 func Lookup(name string) (Spec, bool) {
-	i, ok := registry.index[normalize(name)]
+	var buf [32]byte
+	i, ok := registry.index[string(appendKey(buf[:0], name))]
 	if !ok {
 		return Spec{}, false
 	}
@@ -324,84 +344,79 @@ func MustBuild(name string, env Env, opts ...Option) locks.TimedMutex {
 }
 
 func init() {
-	Register(Spec{
+	register(Spec{
 		Name:        NameTAS,
 		Aliases:     []string{"test-and-set"},
 		Description: "test-and-set spin lock: one word, global spinning, no fairness",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewTAS()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameTTAS,
 		Aliases:     []string{"test-and-test-and-set"},
 		Description: "test-and-test-and-set: reads before the atomic swap to cut coherence traffic",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewTTAS()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameBOTAS,
 		Aliases:     []string{"backoff", "backoff-tas"},
 		Description: "test-and-set with capped exponential backoff (the BO of C-BO-MCS)",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			min, max := c.backoff(locks.DefaultBackoffMin, locks.DefaultBackoffMax)
 			return locks.NewBackoffTAS(min, max)
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameTicket,
 		Aliases:     []string{"ticket"},
 		Description: "FIFO ticket lock: strictly fair, one word, global spinning",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewTicket()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NamePTL,
 		Aliases:     []string{"partitioned-ticket"},
 		Description: "partitioned ticket lock: grants striped across per-socket slots",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewPartitionedTicket(c.slotsOr(env.Sockets()))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameMCS,
 		Description: "Mellor-Crummey/Scott queue lock: local spinning, the paper's baseline",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			return locks.NewMCS(env.Threads())
+		build: func(env Env, c config) locks.TimedMutex {
+			return locks.NewMCS()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCLH,
 		Description: "Craig/Landin/Hagersten queue lock: spins on the predecessor's node",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewCLH(env.Threads())
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameHBO,
 		Aliases:     []string{"hierarchical-backoff"},
 		Description: "hierarchical backoff lock: one word, remote waiters back off longer",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			if c.hboSet {
 				return locks.NewHBO(c.hboLocalMin, c.hboLocalMax, c.hboRemoteMin, c.hboRemoteMax)
 			}
 			return locks.DefaultHBO()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameMCSCR,
 		Aliases:     []string{"malthusian"},
 		Description: "Malthusian MCS: culls excess waiters to a passive list (Dice 2017)",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
-			m := locks.NewMalthusian(env.Threads(),
-				c.minActiveOr(locks.DefaultMalthusianMinActive),
+		build: func(env Env, c config) locks.TimedMutex {
+			m := locks.NewMalthusian(c.minActiveOr(locks.DefaultMalthusianMinActive),
 				c.thresholdOr(locks.DefaultMalthusianReviveMask))
 			if c.passivationDelaySet {
 				m.SetPassivationDelay(c.passivationDelay)
@@ -409,57 +424,53 @@ func init() {
 			return m
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCBOMCS,
 		Description: "cohort lock: backoff-TAS global, MCS locals (best cohort variant)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			return cohort.NewCBOMCS(env.Sockets(), env.Threads(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCTKTTKT,
 		Description: "cohort lock: ticket global, ticket locals",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			return cohort.NewCTKTTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCPTLTKT,
 		Description: "cohort lock: partitioned-ticket global, ticket locals",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			return cohort.NewCPTLTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameHMCS,
 		Description: "hierarchical MCS: per-socket queues plus a root queue (Chabbi 2015)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			c := apply(opts)
+		build: func(env Env, c config) locks.TimedMutex {
 			return hmcs.New(env.Sockets(), env.Threads(), uint64(c.maxLocalPassesOr(int(hmcs.DefaultThreshold))))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCNA,
 		Description: "compact NUMA-aware lock: one word of state (the paper's contribution)",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			return core.NewWithArena(env.arena(), cnaOptions(core.DefaultOptions(), opts))
+		build: func(env Env, c config) locks.TimedMutex {
+			return core.NewWithOptions(c.cnaOptions(core.DefaultOptions()))
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameCNAOpt,
 		Aliases:     []string{"cna (opt)", "cnaopt"},
 		Description: "CNA with the Section 6 shuffle-reduction optimisation",
 		NUMAAware:   true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
-			return core.NewWithArena(env.arena(), cnaOptions(core.OptimizedOptions(), opts))
+		build: func(env Env, c config) locks.TimedMutex {
+			return core.NewWithOptions(c.cnaOptions(core.OptimizedOptions()))
 		},
 	})
 
@@ -473,25 +484,25 @@ func init() {
 	// adapter at all — the honest baseline for adapter-overhead
 	// measurements.
 	derive(layers[0])
-	Register(Spec{
+	register(Spec{
 		Name:        NameStd,
 		Aliases:     []string{"sync-mutex", "stdlib"},
 		Description: "sync.Mutex: the Go runtime's own mutex, the drop-in baseline",
 		Wait:        "runtime",
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewStd()
 		},
 		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
 			return locks.NewStdNative()
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        NameStdRW,
 		Aliases:     []string{"sync-rwmutex", "stdlib-rw"},
 		Description: "sync.RWMutex: write-locked as a mutex, the runtime RW baseline",
 		Wait:        "runtime",
 		RW:          true,
-		Build: func(env Env, opts ...Option) locks.TimedMutex {
+		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewStdRW()
 		},
 		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
@@ -504,8 +515,9 @@ func init() {
 	}
 }
 
-// buildFunc is the type of Spec.Build.
-type buildFunc = func(Env, ...Option) locks.TimedMutex
+// buildFunc is the type of Spec.build: Spec.Build with the options
+// applied.
+type buildFunc = func(Env, config) locks.TimedMutex
 
 // layer is one row of the composition table: a wrapper that derive
 // registers over each of bases as "<base><suffix>".
@@ -519,19 +531,19 @@ type layer struct {
 	// rw marks the reader-writer layer: its Specs are RW, and NUMA-aware
 	// whatever their base.
 	rw bool
-	// build constructs the layer over base, the base Spec's Build. The
-	// caller's options reach both: the base reads its own knobs, the
-	// layer its own, and Register's WithWait/WithStats handling reaches
+	// build constructs the layer over base, the base Spec's build. The
+	// caller's config reaches both: the base reads its own knobs, the
+	// layer its own, and register's WithWait/WithStats handling reaches
 	// the inner lock through the layer's SetWait/EnableStats forwarding.
-	build func(base buildFunc, env Env, opts []Option) locks.TimedMutex
+	build func(base buildFunc, env Env, c config) locks.TimedMutex
 }
 
 // layers is the composition table, in registration order.
 var layers = []layer{
 	{
-		// Spin-then-park: the base built with waiter.SpinThenPark{}
-		// injected ahead of the caller's options, so an explicit WithWait
-		// still wins. Only queue locks whose release names a specific
+		// Spin-then-park: the base built with waiter.SpinThenPark{} as
+		// its waiting policy unless the caller's options chose one, so an
+		// explicit WithWait still wins. Only queue locks whose release names a specific
 		// successor can park their waiters (someone must post the wake);
 		// the ticket-family locks have no such waker and would merely
 		// rename themselves — WithWait on them degrades to
@@ -540,8 +552,11 @@ var layers = []layer{
 		bases:    []string{NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt},
 		describe: func(b Spec) string { return b.Description + "; waiters spin briefly then park" },
 		wait:     waiter.SpinThenPark{}.Name(),
-		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
-			return base(env, append([]Option{WithWait(waiter.SpinThenPark{})}, opts...)...)
+		build: func(base buildFunc, env Env, c config) locks.TimedMutex {
+			if c.wait == nil {
+				c.wait = waiter.SpinThenPark{}
+			}
+			return base(env, c)
 		},
 	},
 	{
@@ -556,12 +571,12 @@ var layers = []layer{
 			return "NUMA-aware RW lock: per-socket read indicators, " + b.Name + " writer gate"
 		},
 		rw: true,
-		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+		build: func(base buildFunc, env Env, c config) locks.TimedMutex {
 			var ropts []rw.Option
-			if c := apply(opts); c.rwNeutralSet && c.rwNeutral {
+			if c.rwNeutralSet && c.rwNeutral {
 				ropts = append(ropts, rw.Neutral())
 			}
-			return rw.New(base(env, opts...), env.Sockets(), env.Threads(), ropts...)
+			return rw.New(base(env, c), env.Sockets(), env.Threads(), ropts...)
 		},
 	},
 	{
@@ -574,12 +589,12 @@ var layers = []layer{
 		describe: func(b Spec) string {
 			return "Fissile composite: one-CAS TAS fast path, " + b.Name + " queue under contention"
 		},
-		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+		build: func(base buildFunc, env Env, c config) locks.TimedMutex {
 			var fopts []fissile.Option
-			if c := apply(opts); c.patienceSet {
+			if c.patienceSet {
 				fopts = append(fopts, fissile.WithPatience(c.patience))
 			}
-			return fissile.New(base(env, opts...), fopts...)
+			return fissile.New(base(env, c), fopts...)
 		},
 	},
 	{
@@ -595,16 +610,15 @@ var layers = []layer{
 			return "GCR admission gate over " + b.Name + ": bounded active set, surplus waiters parked and rotated"
 		},
 		wait: waiter.SpinThenPark{}.Name(),
-		build: func(base buildFunc, env Env, opts []Option) locks.TimedMutex {
+		build: func(base buildFunc, env Env, c config) locks.TimedMutex {
 			var gopts []gcr.Option
-			c := apply(opts)
 			if c.activeSetSet {
 				gopts = append(gopts, gcr.WithActiveSet(c.activeSet))
 			}
 			if c.rotateEverySet {
 				gopts = append(gopts, gcr.WithRotateEvery(c.rotateEvery))
 			}
-			return gcr.New(base(env, opts...), env.Sockets(), gopts...)
+			return gcr.New(base(env, c), env.Sockets(), gopts...)
 		},
 	},
 }
@@ -619,13 +633,13 @@ func derive(l layer) {
 			NUMAAware:   base.NUMAAware || l.rw,
 			RW:          l.rw,
 			Wait:        cmp.Or(l.wait, base.Wait),
-			Build: func(env Env, opts ...Option) locks.TimedMutex {
-				return l.build(base.Build, env, opts)
+			build: func(env Env, c config) locks.TimedMutex {
+				return l.build(base.build, env, c)
 			},
 		}
 		for _, a := range base.Aliases {
 			s.Aliases = append(s.Aliases, a+l.suffix)
 		}
-		Register(s)
+		register(s)
 	}
 }

@@ -185,17 +185,51 @@ func TestOptionsReachTheAlgorithm(t *testing.T) {
 	}
 }
 
-// TestSharedArena exercises the Env-carried arena: two CNA locks drawing
-// nodes from one arena must still exclude correctly when used by the
-// same threads (the paper's fine-grained-locking deployment).
-func TestSharedArena(t *testing.T) {
-	arena := core.NewArena(2)
-	env := Env{MaxThreads: 2, Topology: numa.TwoSocketXeonE5(), Arena: arena}
-	a := MustBuild(NameCNA, env)
-	b := MustBuild(NameCNAOpt, env)
+// TestNestedLocksShareThreadNodes: two CNA locks nested by one thread
+// queue that thread's depth-0 and depth-1 nodes (the paper's
+// fine-grained-locking deployment), and neither lock holds nodes of its
+// own.
+func TestNestedLocksShareThreadNodes(t *testing.T) {
+	env := Env{MaxThreads: 2, Topology: numa.TwoSocketXeonE5()}
+	a := MustBuild(NameCNA, env).(*core.Lock)
+	b := MustBuild(NameCNAOpt, env).(*core.Lock)
 	th := locks.NewThread(0, 0)
 	a.Lock(th)
 	b.Lock(th)
 	b.Unlock(th)
 	a.Unlock(th)
+	if !a.TryLock(th) || !b.TryLock(th) {
+		t.Fatal("nested CNA locks not free after unlocking")
+	}
+	b.Unlock(th)
+	a.Unlock(th)
+}
+
+// TestLookupAllocatesNothing: resolving a name is a map lookup on its
+// normalized spelling. Every Lookup, MustSpec, Build by name,
+// gonative.New and repro.NewMutex goes through it.
+func TestLookupAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Lookup("CNA-opt") }); n != 0 {
+		t.Fatalf("Lookup made %v allocations, want 0", n)
+	}
+}
+
+// TestBuildAppliesOptionsOnce: a build without options allocates
+// no option config (CNA is one lock struct), and one with options
+// applies them once, not once per layer.
+func TestBuildAppliesOptionsOnce(t *testing.T) {
+	env := testEnv(4)
+	cna := MustSpec(NameCNA)
+	if n := testing.AllocsPerRun(100, func() { cna.Build(env) }); n != 1 {
+		t.Errorf("CNA build without options made %v allocations, want 1 (the lock)", n)
+	}
+	// WithThreshold is read by the CNA base and turns into no layer
+	// option, so a CNA-fissile build with it costs the caller's option
+	// closure and slice plus one config — not one config per layer.
+	fissile := MustSpec(NameCNA + "-fissile")
+	bare := testing.AllocsPerRun(100, func() { fissile.Build(env) })
+	with := testing.AllocsPerRun(100, func() { fissile.Build(env, WithThreshold(0xff)) })
+	if with-bare != 3 {
+		t.Errorf("CNA-fissile build with one option made %v allocations, %v without: want 3 more (closure, slice, one config)", with, bare)
+	}
 }

@@ -53,7 +53,13 @@ type config struct {
 // Option tunes one policy knob; see the With* constructors.
 type Option func(*config)
 
+// apply collects opts into a config. Each option writes through a
+// pointer, so the config escapes to the heap; with no options there is
+// nothing to collect and nothing is allocated.
 func apply(opts []Option) config {
+	if len(opts) == 0 {
+		return config{}
+	}
 	var c config
 	for _, o := range opts {
 		o(&c)
@@ -232,8 +238,7 @@ func (c config) minActiveOr(def int) int {
 }
 
 // cnaOptions overlays the set knobs onto a CNA base configuration.
-func cnaOptions(base core.Options, opts []Option) core.Options {
-	c := apply(opts)
+func (c config) cnaOptions(base core.Options) core.Options {
 	if c.thresholdSet {
 		base.KeepLocalMask = c.threshold
 	}

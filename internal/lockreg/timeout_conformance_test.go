@@ -10,9 +10,11 @@ package lockreg
 //     lock resolves to exactly one of "waiter acquired" or "waiter
 //     expired", never both (pinned by exact counter agreement under a
 //     deadline-jitter storm mixed with plain Lock and TryLock);
-//  3. after quiescence every thread is back at nesting depth zero —
-//     abandoned queue nodes were retired, not leaked — and the lock is
-//     free to a TryLock.
+//  3. after quiescence every thread is back at nesting depth zero and
+//     the lock is free to a TryLock;
+//  4. an abandoned queue node never blocks its owner: the thread's next
+//     acquisition at that depth, of this lock or any other, does not
+//     wait for the tombstone to leave the first lock's queue.
 //
 // The storm runs under -race in CI (see the short test job), which is
 // what turns the jittered deadlines into a race hunt around each
@@ -154,6 +156,57 @@ func TestConformanceTimeoutStorm(t *testing.T) {
 				m.Lock(th)
 				counter++
 				m.Unlock(th)
+			}
+		})
+	}
+}
+
+// TestConformanceTimeoutAcrossLocks pins point 4 across locks, where a
+// wait for the tombstone can deadlock. X holds A and T holds C; T's timed
+// acquire of A expires, leaving whatever it queued in A behind X. T then
+// takes and drops B and drops C, while X takes C (behind T) and only then
+// drops A. If T's acquisition of B at the depth it abandoned in A waited
+// for A's queue to let go of the tombstone, T would wait for X's release
+// of A, X for T's release of C, and neither would ever finish.
+func TestConformanceTimeoutAcrossLocks(t *testing.T) {
+	for _, spec := range All() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			env := testEnv(2)
+			a, b, c := spec.Build(env), spec.Build(env), spec.Build(env)
+			ths := confThreads(2)
+			x, th := ths[0], ths[1]
+			a.Lock(x)
+			c.Lock(th)
+			if a.LockTimeout(th, time.Millisecond) {
+				t.Fatalf("%s: timed acquire succeeded with the lock held throughout", spec.Name)
+			}
+			done := make(chan struct{}, 2)
+			go func() {
+				b.Lock(th)
+				b.Unlock(th)
+				c.Unlock(th)
+				done <- struct{}{}
+			}()
+			go func() {
+				c.Lock(x)
+				c.Unlock(x)
+				a.Unlock(x)
+				done <- struct{}{}
+			}()
+			watchdog := time.After(2 * time.Second)
+			for i := 0; i < 2; i++ {
+				select {
+				case <-done:
+				case <-watchdog:
+					t.Fatalf("%s: deadlock: the expired waiter's next acquisition waited for its tombstone", spec.Name)
+				}
+			}
+			for _, th := range ths {
+				if d := th.Depth(); d != 0 {
+					t.Fatalf("%s: thread %d left at nesting depth %d", spec.Name, th.ID, d)
+				}
 			}
 		})
 	}

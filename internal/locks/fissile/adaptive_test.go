@@ -13,7 +13,7 @@ import (
 )
 
 func TestEffectivePatienceShrinksUnderQueuePressure(t *testing.T) {
-	l := New(locks.NewMCS(4), WithPatience(64))
+	l := New(locks.NewMCS(), WithPatience(64))
 	if got := l.effectivePatience(); got != 64 {
 		t.Fatalf("idle effectivePatience = %d, want the full 64", got)
 	}
@@ -32,7 +32,7 @@ func TestEffectivePatienceShrinksUnderQueuePressure(t *testing.T) {
 }
 
 func TestEffectivePatienceFloor(t *testing.T) {
-	l := New(locks.NewMCS(4), WithPatience(4))
+	l := New(locks.NewMCS(), WithPatience(4))
 	l.queued.Store(3)
 	if got := l.effectivePatience(); got != 1 {
 		t.Fatalf("shrunk effectivePatience = %d, want the floor of 1", got)
@@ -44,7 +44,7 @@ func TestEffectivePatienceFloor(t *testing.T) {
 // visible on the gauge, and the gauge must drain to zero once they
 // acquire and release.
 func TestQueuedGaugeTracksSlowPath(t *testing.T) {
-	l := New(locks.NewMCS(4), WithPatience(1<<20)) // patient alpha: it waits us out
+	l := New(locks.NewMCS(), WithPatience(1<<20)) // patient alpha: it waits us out
 	if !l.TryFast() {
 		t.Fatal("outer word not free at start")
 	}

@@ -20,14 +20,14 @@ import (
 	"repro/internal/locks"
 )
 
-func newMCSFissile(threads int, opts ...Option) *Lock {
-	return New(locks.NewMCS(threads), opts...)
+func newMCSFissile(opts ...Option) *Lock {
+	return New(locks.NewMCS(), opts...)
 }
 
 // newCNAFissile is the registry's CNA-fissile: the composite over a CNA
 // lock with the paper's defaults.
-func newCNAFissile(threads int, opts ...Option) *Lock {
-	return New(core.NewWithArena(core.NewArena(threads), core.DefaultOptions()), opts...)
+func newCNAFissile(opts ...Option) *Lock {
+	return New(core.New(), opts...)
 }
 
 // waitFor polls until cond holds, failing the test after a generous
@@ -44,7 +44,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestNameCarriesSuffix(t *testing.T) {
-	if got := newMCSFissile(2).Name(); got != "MCS-fissile" {
+	if got := newMCSFissile().Name(); got != "MCS-fissile" {
 		t.Fatalf("Name() = %q, want %q", got, "MCS-fissile")
 	}
 }
@@ -55,7 +55,7 @@ func TestNameCarriesSuffix(t *testing.T) {
 // Lock returns. This is what lets the goroutine-native adapter return
 // the slot before the critical section even starts.
 func TestFastPathIsDepthNeutral(t *testing.T) {
-	l := newMCSFissile(2)
+	l := newMCSFissile()
 	th := locks.NewThread(0, 0)
 	l.Lock(th) // uncontended: fast path
 	if d := th.Depth(); d != 0 {
@@ -65,7 +65,7 @@ func TestFastPathIsDepthNeutral(t *testing.T) {
 
 	// Slow path: close the fast path by hand so Lock must go through
 	// the (free) inner queue, then reopen the word mid-wait.
-	l2 := newMCSFissile(2, WithPatience(1))
+	l2 := newMCSFissile(WithPatience(1))
 	l2.word.Store(lockedBit)
 	done := make(chan int)
 	go func() {
@@ -87,7 +87,7 @@ func TestFastPathIsDepthNeutral(t *testing.T) {
 // has barred the word, TryLock and the one-CAS fast path must fail even
 // though no thread holds the lock — new arrivals divert into the queue.
 func TestBarClosesFastPath(t *testing.T) {
-	l := newMCSFissile(2)
+	l := newMCSFissile()
 	l.word.Store(barredBit) // free but barred
 	if l.TryFast() {
 		t.Fatal("TryFast succeeded on a barred word")
@@ -104,7 +104,7 @@ func TestBarClosesFastPath(t *testing.T) {
 // and clears the bar in one step — after it wins, the word is exactly
 // lockedBit, and the next release reopens the fast path completely.
 func TestAlphaAcquisitionReopensFastPath(t *testing.T) {
-	l := newMCSFissile(2, WithPatience(1))
+	l := newMCSFissile(WithPatience(1))
 	if !l.TryFast() {
 		t.Fatal("TryFast failed on a fresh lock")
 	}
@@ -132,7 +132,7 @@ func TestAlphaAcquisitionReopensFastPath(t *testing.T) {
 // the word must clear its bar on the way out — an abandoned wait must
 // never leave the fast path closed.
 func TestTimeoutWithdrawsBar(t *testing.T) {
-	l := newMCSFissile(2, WithPatience(1))
+	l := newMCSFissile(WithPatience(1))
 	if !l.TryFast() {
 		t.Fatal("TryFast failed on a fresh lock")
 	}
@@ -156,7 +156,7 @@ func TestTimeoutWithdrawsBar(t *testing.T) {
 // TestLockTimeoutNonPositiveDegradesToTryLock pins the TimedMutex
 // contract's non-positive-d clause.
 func TestLockTimeoutNonPositiveDegradesToTryLock(t *testing.T) {
-	l := newMCSFissile(2)
+	l := newMCSFissile()
 	th := locks.NewThread(0, 0)
 	if !l.LockTimeout(th, 0) {
 		t.Fatal("LockTimeout(0) failed on a free lock")
@@ -170,7 +170,7 @@ func TestLockTimeoutNonPositiveDegradesToTryLock(t *testing.T) {
 // TestUnlockUnlockedPanics pins the clear-error contract shared with
 // the rest of the lock family.
 func TestUnlockUnlockedPanics(t *testing.T) {
-	l := newMCSFissile(2)
+	l := newMCSFissile()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("UnlockFast of an unlocked fissile lock did not panic")
@@ -184,7 +184,7 @@ func TestUnlockUnlockedPanics(t *testing.T) {
 // every counter is still zero — the default hot paths perform no
 // counter writes at all.
 func TestStatsDefaultOffSlowPathToo(t *testing.T) {
-	l := newMCSFissile(2, WithPatience(1))
+	l := newMCSFissile(WithPatience(1))
 	th := locks.NewThread(0, 0)
 	l.Lock(th)
 	l.Unlock(th)
@@ -213,7 +213,7 @@ func TestStatsDefaultOffSlowPathToo(t *testing.T) {
 // TestStatsOptIn: with EnableStats, the three counters classify
 // acquisitions correctly — fast wins, queue wins, and hand-backs.
 func TestStatsOptIn(t *testing.T) {
-	l := newMCSFissile(2, WithPatience(1))
+	l := newMCSFissile(WithPatience(1))
 	l.EnableStats()
 	th := locks.NewThread(0, 0)
 
@@ -244,10 +244,10 @@ func TestStatsOptIn(t *testing.T) {
 
 // TestWithPatienceClampsToOne: an alpha must probe at least once.
 func TestWithPatienceClampsToOne(t *testing.T) {
-	if l := newMCSFissile(2, WithPatience(-7)); l.patience != 1 {
+	if l := newMCSFissile(WithPatience(-7)); l.patience != 1 {
 		t.Fatalf("patience = %d, want 1", l.patience)
 	}
-	if l := newMCSFissile(2); l.patience != DefaultPatience {
+	if l := newMCSFissile(); l.patience != DefaultPatience {
 		t.Fatalf("default patience = %d, want %d", l.patience, DefaultPatience)
 	}
 }
@@ -262,7 +262,7 @@ func TestFissileStatsAgree(t *testing.T) {
 	if testing.Short() {
 		iters = 200
 	}
-	l := newCNAFissile(workers, WithPatience(4))
+	l := newCNAFissile(WithPatience(4))
 	l.EnableStats()
 
 	var acquired atomic.Uint64
@@ -300,7 +300,7 @@ func TestFissileStatsAgree(t *testing.T) {
 // patience runs out, the bar closes the fast path, and the hammer's
 // next release hands the word to the queue.
 func TestFissileAntiStarvation(t *testing.T) {
-	l := newCNAFissile(2, WithPatience(8))
+	l := newCNAFissile(WithPatience(8))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -23,11 +23,6 @@ func newStatsGate(inner locks.TimedMutex, opts ...Option) *Lock {
 	return l
 }
 
-// newCNA builds a CNA lock with the paper's defaults for n threads.
-func newCNA(n int) *core.Lock {
-	return core.NewWithArena(core.NewArena(n), core.DefaultOptions())
-}
-
 // spreadThreads builds n worker identities alternating between two
 // sockets.
 func spreadThreads(n int) []*locks.Thread {
@@ -53,7 +48,7 @@ func iters(t *testing.T) int {
 func TestGCRStatsAgree(t *testing.T) {
 	const workers = 4
 	n := iters(t)
-	g := newStatsGate(newCNA(workers), WithActiveSet(2), WithRotateEvery(32))
+	g := newStatsGate(core.New(), WithActiveSet(2), WithRotateEvery(32))
 	ths := spreadThreads(workers)
 
 	var acquired atomic.Uint64
@@ -90,7 +85,7 @@ func TestGCRStatsAgree(t *testing.T) {
 func TestGCRRotationFairness(t *testing.T) {
 	const workers = 4
 	n := iters(t) / 2
-	g := newStatsGate(newCNA(workers), WithActiveSet(1), WithRotateEvery(4))
+	g := newStatsGate(core.New(), WithActiveSet(1), WithRotateEvery(4))
 	ths := spreadThreads(workers)
 
 	counts := make([]atomic.Int64, workers)

@@ -15,11 +15,14 @@
 //
 // Every algorithm is driven through a per-worker *Thread, which carries
 // the worker's identity: a dense id, the NUMA socket it runs on (from a
-// numa.Placement), and a private PRNG. Queue locks additionally need a
-// queue node per acquisition; each lock instance preallocates
-// MaxNesting nodes per thread, mirroring the Linux kernel's four
-// statically preallocated per-CPU qspinlock nodes. Locks must therefore
-// be released in LIFO order with respect to other locks acquired through
+// numa.Placement), and a private PRNG. The MCS-family queue locks (MCS,
+// MCSCR and CNA) additionally need a queue node per acquisition, and the
+// nodes belong to the thread, not to the lock: a Thread carries one Node
+// per nesting depth, and whichever lock it acquires at that depth
+// queues that node, as the Linux kernel's four per-CPU qspinlock nodes
+// serve every spinlock. Such a lock is its tail word and its
+// configuration, however many threads use it. Locks must therefore be
+// released in LIFO order with respect to other locks acquired through
 // the same Thread, which is the discipline every workload in this repo
 // (and the kernel) follows.
 //
@@ -37,7 +40,6 @@ package locks
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/prng"
 )
@@ -50,8 +52,9 @@ const MaxNesting = 4
 
 // Thread is a worker's identity, passed to every Lock/Unlock call.
 type Thread struct {
-	// ID is a dense worker index in [0, maxThreads) used to locate the
-	// thread's preallocated queue nodes.
+	// ID is a dense worker index in [0, maxThreads); locks that keep
+	// per-thread state of their own (CLH, HMCS, the cohort locals, the
+	// RW reader park states) index it by ID.
 	ID int
 	// Socket is the NUMA node the thread runs on.
 	Socket int
@@ -59,36 +62,43 @@ type Thread struct {
 	// pseudo-random number generator).
 	RNG *prng.Xoroshiro
 
+	// KeepLocal is the thread's remaining budget of local handovers
+	// under CNA's fairness countdown (Section 6: "store the drawn number
+	// in a thread-local variable and decrement it with every lock
+	// handover"). Only the thread itself touches it, while it releases a
+	// lock.
+	KeepLocal uint64
+
 	// nest is the current lock-nesting depth (LIFO discipline).
 	nest int
-
-	// nodeKey/nodeBase cache the thread's most recent queue-node base
-	// resolution: nodeBase points at this thread's first preallocated
-	// node inside the storage identified by nodeKey (a CNA arena, an MCS
-	// lock's node block, ...). Queue locks consult the cache through
-	// NodeBase so the acquire hot path indexes nodes with one add from a
-	// precomputed base instead of a two-level slice walk per Lock call.
-	// A Thread is single-goroutine by contract (see nest), so plain
-	// fields suffice.
-	nodeKey  unsafe.Pointer
-	nodeBase unsafe.Pointer
+	// nodes holds the thread's queue node for each nesting depth; a
+	// depth the thread was given no node for is nil and must never be
+	// reached. A Thread is single-goroutine by contract (see nest), so
+	// plain fields suffice.
+	nodes [MaxNesting]*Node
 }
 
-// NewThread returns a Thread with the given id and socket and a
-// deterministic per-thread PRNG.
+// NewThread returns a Thread with the given id and socket, a
+// deterministic per-thread PRNG and a queue node for every nesting
+// depth.
 func NewThread(id, socket int) *Thread {
 	t := new(Thread)
-	t.Init(id, socket, new(prng.Xoroshiro))
+	t.Init(id, socket, new(prng.Xoroshiro), new([MaxNesting]Node)[:])
 	return t
 }
 
 // Init resets t in place to a fresh Thread with the given id and
 // socket, seeding rng exactly as NewThread seeds its generator and
-// making it t's RNG. It lets a pool embed each Thread and its PRNG
-// state by value, on cache lines of its own.
-func (t *Thread) Init(id, socket int, rng *prng.Xoroshiro) {
+// making it t's RNG, and giving it nodes as its queue nodes for nesting
+// depths 0, 1, ... (at most MaxNesting). It lets a pool embed each
+// Thread and its PRNG state by value, on cache lines of their own, and
+// place the Thread's node where it chooses.
+func (t *Thread) Init(id, socket int, rng *prng.Xoroshiro, nodes []Node) {
 	rng.Seed(uint64(id)*0x9e3779b97f4a7c15 + 0xdeadbeef)
 	*t = Thread{ID: id, Socket: socket, RNG: rng}
+	for i := range nodes {
+		t.nodes[i] = nodes[i].init()
+	}
 }
 
 // AcquireSlot reserves a nesting slot and returns its index. It is meant
@@ -124,25 +134,10 @@ func panicNestUnderflow(id int) {
 	panic(fmt.Sprintf("locks: thread %d unlocked more than it locked", id))
 }
 
-// NodeBase returns the thread's cached node-base pointer for the node
-// storage identified by key, or nil on a cache miss. Lock
-// implementations call it with their storage's identity (e.g. the CNA
-// arena pointer) and fall back to the two-level index — then SetNodeBase
-// — on a miss, so steady-state acquisitions pay one compare and one add.
-func (t *Thread) NodeBase(key unsafe.Pointer) unsafe.Pointer {
-	if t.nodeKey == key {
-		return t.nodeBase
-	}
-	return nil
-}
-
-// SetNodeBase records the thread's node base for the storage identified
-// by key. A single cache slot suffices: a thread alternating between
-// differently keyed storages merely re-resolves, it never misbehaves.
-func (t *Thread) SetNodeBase(key, base unsafe.Pointer) {
-	t.nodeKey = key
-	t.nodeBase = base
-}
+// Node returns the thread's queue node for nesting depth d. Queue locks
+// pair it with the slot calls: t.Node(t.AcquireSlot()) on entry,
+// t.Node(t.ReleaseSlot()) in Unlock.
+func (t *Thread) Node(d int) *Node { return t.nodes[d] }
 
 // Depth reports the current nesting depth (for tests).
 func (t *Thread) Depth() int { return t.nest }

@@ -45,7 +45,7 @@ func allLocks() map[string]func(maxThreads int) Mutex {
 		"TKT":    func(int) Mutex { return NewTicket() },
 		"PTL":    func(int) Mutex { return NewPartitionedTicket(4) },
 		"HBO":    func(int) Mutex { return DefaultHBO() },
-		"MCS":    func(n int) Mutex { return NewMCS(n) },
+		"MCS":    func(n int) Mutex { return NewMCS() },
 		"CLH":    func(n int) Mutex { return NewCLH(n) },
 	}
 }
@@ -91,7 +91,7 @@ func TestTwoThreadsAlternate(t *testing.T) {
 func TestNestingTwoLocks(t *testing.T) {
 	// A thread holding lock A acquires lock B (LIFO order). Queue locks
 	// must hand out distinct nodes per nesting level.
-	a, b := NewMCS(4), NewMCS(4)
+	a, b := NewMCS(), NewMCS()
 	var shared int
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -118,7 +118,7 @@ func TestNestingOverflowPanics(t *testing.T) {
 	th := NewThread(0, 0)
 	ls := make([]*MCS, MaxNesting+1)
 	for i := range ls {
-		ls[i] = NewMCS(1)
+		ls[i] = NewMCS()
 	}
 	defer func() {
 		if recover() == nil {
@@ -133,7 +133,7 @@ func TestNestingOverflowPanics(t *testing.T) {
 
 func TestUnlockWithoutLockPanics(t *testing.T) {
 	th := NewThread(0, 0)
-	l := NewMCS(1)
+	l := NewMCS()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unbalanced unlock did not panic")
@@ -143,7 +143,7 @@ func TestUnlockWithoutLockPanics(t *testing.T) {
 }
 
 func TestMCSHandoverCounter(t *testing.T) {
-	l := NewMCS(4)
+	l := NewMCS()
 	l.EnableStats()
 	exerciseHandover := func(socket int) {
 		th := NewThread(socket, socket) // id == socket for brevity
@@ -238,7 +238,7 @@ func TestMutualExclusionProperty(t *testing.T) {
 	f := func(nThreads, nIters uint8) bool {
 		threads := int(nThreads)%6 + 2
 		iters := int(nIters)%50 + 1
-		lock := NewMCS(threads)
+		lock := NewMCS()
 		var counter int
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/spinwait"
 	"repro/internal/waiter"
 )
 
@@ -30,16 +29,15 @@ import (
 // of yielding in a loop for its entire (unbounded) passive tenure.
 // TestMalthusianPassiveWaitersPark pins this.
 type Malthusian struct {
-	tail  atomic.Pointer[mcsNode]
-	nodes [][MaxNesting]mcsNode
-	wait  waiter.Policy
+	tail atomic.Pointer[Node]
+	wait waiter.Policy
 
 	// passive is the culled-waiter stack; only the lock holder touches
 	// it, so plain fields suffice (like CNA's holder-maintained state).
 	// The release path keeps that invariant honest by never freeing the
 	// lock while the list is non-empty: a drained queue hands over to a
 	// passive waiter directly, so no access ever follows the release.
-	passiveHead *mcsNode
+	passiveHead *Node
 	passiveLen  int
 
 	// cullMask and reviveMask are the policy knobs: a waiter is culled
@@ -65,19 +63,13 @@ type Malthusian struct {
 
 // NewMalthusian returns an MCSCR lock keeping at least minActive threads
 // circulating and reviving passive waiters with probability
-// 1/(reviveMask+1) per handover.
-func NewMalthusian(maxThreads, minActive int, reviveMask uint64) *Malthusian {
+// 1/(reviveMask+1) per handover. Like MCS it queues the threads' own
+// nodes.
+func NewMalthusian(minActive int, reviveMask uint64) *Malthusian {
 	if minActive < 1 {
 		minActive = 1
 	}
-	l := &Malthusian{
-		nodes:      make([][MaxNesting]mcsNode, maxThreads),
-		wait:       waiter.Default,
-		reviveMask: reviveMask,
-		minActive:  minActive,
-	}
-	initMCSNodes(l.nodes)
-	return l
+	return &Malthusian{wait: waiter.Default, reviveMask: reviveMask, minActive: minActive}
 }
 
 // DefaultMalthusianMinActive and DefaultMalthusianReviveMask are the
@@ -90,8 +82,8 @@ const (
 )
 
 // DefaultMalthusian matches the fairness scale used by the other locks.
-func DefaultMalthusian(maxThreads int) *Malthusian {
-	return NewMalthusian(maxThreads, DefaultMalthusianMinActive, DefaultMalthusianReviveMask)
+func DefaultMalthusian() *Malthusian {
+	return NewMalthusian(DefaultMalthusianMinActive, DefaultMalthusianReviveMask)
 }
 
 // SetWait implements waiter.Setter. Call before the lock is shared.
@@ -110,59 +102,37 @@ func (l *Malthusian) SetPassivationDelay(n int) {
 // Lock is plain MCS acquisition; culling happens on the unlock side. A
 // culled thread never leaves this wait — its node moves to the passive
 // list while it keeps waiting (parked, under a parking policy) until a
-// revive handover sets its flag.
+// revive handover grants its spin word.
 func (l *Malthusian) Lock(t *Thread) {
-	n := &l.nodes[t.ID][t.AcquireSlot()]
-	if n.tstate.Load() != tsClean {
-		// Still queued from an earlier timed-out acquire on this slot;
-		// wait for a releaser's skip walk to retire it.
-		n.awaitReusable()
-	}
-	n.next.Store(nil)
-	n.locked.Store(false)
+	n := t.Node(t.AcquireSlot())
+	n.Next.Store(nil)
+	n.Spin.Store(nil)
 	prev := l.tail.Swap(n)
 	if prev != nil {
-		l.wait.Prepare(&n.wait)
-		prev.next.Store(n)
-		l.wait.Wait(&n.wait, n.ready)
+		l.wait.Prepare(&n.Wait)
+		prev.Next.Store(n)
+		l.wait.Wait(&n.Wait, n.Ready)
 	}
 }
 
-// LockTimeout implements TimedMutex via the shared mcsNode tstate
-// protocol (see mcs.go). Abandoned nodes stay in the main queue until
-// a release's skip walk retires them — they are never culled (see
-// Unlock), so the passive list never holds a timed node.
+// LockTimeout implements TimedMutex via the Node TState protocol (see
+// node.go). Abandoned nodes stay in the main queue until a release's
+// skip walk passes them — they are never culled (see Unlock), so the
+// passive list never holds a timed node.
 func (l *Malthusian) LockTimeout(t *Thread, d time.Duration) bool {
-	n := &l.nodes[t.ID][t.AcquireSlot()]
-	if n.tstate.Load() != tsClean {
-		t.ReleaseSlot()
-		return false // node still queued; a timed attempt fails fast
-	}
+	n := t.Node(t.AcquireSlot())
 	deadline := time.Now().Add(d)
-	n.next.Store(nil)
-	n.locked.Store(false)
-	l.wait.Prepare(&n.wait)
-	n.tstate.Store(tsArmed)
-	prev := l.tail.Swap(n)
-	if prev == nil {
-		n.tstate.Store(tsClean)
-		return true
+	n.Next.Store(nil)
+	n.Spin.Store(nil)
+	l.wait.Prepare(&n.Wait)
+	n.TState.Store(TSArmed)
+	if prev := l.tail.Swap(n); prev != nil {
+		prev.Next.Store(n)
+		if !l.wait.WaitUntil(&n.Wait, n.Ready, deadline) && !t.Expire(n) {
+			return false
+		}
 	}
-	prev.next.Store(n)
-	if l.wait.WaitUntil(&n.wait, n.ready, deadline) {
-		n.tstate.Store(tsClean)
-		return true
-	}
-	if n.tstate.CompareAndSwap(tsArmed, tsAbandoned) {
-		t.ReleaseSlot()
-		return false
-	}
-	// The releaser granted at the buzzer; the lock is ours.
-	var s spinwait.Spinner
-	for !n.ready() {
-		s.Pause()
-	}
-	n.tstate.Store(tsClean)
+	n.TState.Store(TSClean)
 	return true
 }
 
@@ -171,12 +141,8 @@ func (l *Malthusian) LockTimeout(t *Thread, d time.Duration) bool {
 // passive waiters hands the lock directly to one instead of freeing
 // it), so a successful TryLock can never interleave with a revive.
 func (l *Malthusian) TryLock(t *Thread) bool {
-	n := &l.nodes[t.ID][t.AcquireSlot()]
-	if n.tstate.Load() != tsClean {
-		t.ReleaseSlot()
-		return false // node still queued from a timed-out acquire
-	}
-	n.next.Store(nil)
+	n := t.Node(t.AcquireSlot())
+	n.Next.Store(nil)
 	if l.tail.CompareAndSwap(nil, n) {
 		return true
 	}
@@ -188,48 +154,42 @@ func (l *Malthusian) TryLock(t *Thread) bool {
 // passive list when more than minActive waiters are linked, and
 // occasionally reviving a passive waiter for long-term fairness.
 func (l *Malthusian) Unlock(t *Thread) {
-	n := &l.nodes[t.ID][t.ReleaseSlot()]
+	n := t.Node(t.ReleaseSlot())
 
 	// Revive: pop a passive waiter and splice it in as our successor.
 	if l.passiveHead != nil && t.RNG.Next()&l.reviveMask == 0 {
 		revived := l.passiveHead
-		l.passiveHead = revived.next.Load()
+		l.passiveHead = revived.Next.Load()
 		l.passiveLen--
 		l.stats.revived++
 		// The revived node becomes the next holder; the current main
 		// queue (if any) stays behind it.
-		next := n.next.Load()
+		next := n.Next.Load()
 		if next == nil {
 			// Try to make the revived node the whole queue.
-			revived.next.Store(nil)
+			revived.Next.Store(nil)
 			if !l.tail.CompareAndSwap(n, revived) {
 				// A new waiter is linking in; wait and chain it behind.
-				var s spinwait.Spinner
-				for next = n.next.Load(); next == nil; next = n.next.Load() {
-					s.Pause()
-				}
-				revived.next.Store(next)
+				revived.Next.Store(n.AwaitNext())
 			}
 		} else {
-			revived.next.Store(next)
+			revived.Next.Store(next)
 		}
-		revived.locked.Store(true)
-		l.wait.Wake(&revived.wait)
+		revived.Spin.Store(granted)
+		l.wait.Wake(&revived.Wait)
 		return
 	}
 
 	l.releaseFrom(n)
 }
 
-// releaseFrom hands the lock past n: the pre-tstate Unlock tail,
-// looped so a grant refused by an abandoned timed waiter continues the
-// release from that node (retiring it once its links are read). The
+// releaseFrom hands the lock past n, looped so a grant refused by an
+// abandoned timed waiter continues the release from that node. The
 // loop's n is the holder's own node on entry and abandoned skip-walk
-// nodes on later iterations — retireIfAbandoned is a no-op for the
-// former.
-func (l *Malthusian) releaseFrom(n *mcsNode) {
+// tombstones on later iterations.
+func (l *Malthusian) releaseFrom(n *Node) {
 	for {
-		next := n.next.Load()
+		next := n.Next.Load()
 		if next == nil {
 			// No linked successor. Passive waiters must not strand, and the
 			// passive list is holder-only state, so it must never be touched
@@ -240,54 +200,45 @@ func (l *Malthusian) releaseFrom(n *mcsNode) {
 			// empty too, which is what makes the TryLock fast path safe.
 			if l.passiveHead != nil {
 				revived := l.passiveHead
-				l.passiveHead = revived.next.Load()
+				l.passiveHead = revived.Next.Load()
 				l.passiveLen--
-				revived.next.Store(nil)
+				revived.Next.Store(nil)
 				if l.tail.CompareAndSwap(n, revived) {
 					l.stats.revived++
-					n.retireIfAbandoned()
 					// Passive nodes are never timed (see the cull gate
 					// below), so the direct handover is a plain grant.
-					revived.locked.Store(true)
-					l.wait.Wake(&revived.wait)
+					revived.Spin.Store(granted)
+					l.wait.Wake(&revived.Wait)
 					return
 				}
 				// A new waiter swapped the tail after our next-load and is
 				// about to link in. We still hold the lock, so the list is
 				// still ours: put the node back and hand over normally.
-				revived.next.Store(l.passiveHead)
+				revived.Next.Store(l.passiveHead)
 				l.passiveHead = revived
 				l.passiveLen++
 			} else if l.tail.CompareAndSwap(n, nil) {
-				n.retireIfAbandoned()
 				return
 			}
-			var s spinwait.Spinner
-			for next = n.next.Load(); next == nil; next = n.next.Load() {
-				s.Pause()
-			}
+			next = n.AwaitNext()
 		}
-		// A successor is linked; n's links are done with, so an
-		// abandoned n can be retired before the grant.
-		n.retireIfAbandoned()
 
 		// Cull: if a second linked waiter exists beyond next and the active
 		// set is above the floor, move next to the passive list and hand the
 		// lock past it. The culled waiter is not woken — under a parking
 		// policy it stays parked on its node for its whole passive tenure.
-		// Only untimed (tsClean) waiters are culled: a timed waiter must
-		// stay in the main queue, where an abandonment is retired within
-		// one release's skip walk — in the passive list it could linger
-		// for an unbounded tenure, wedging its owner's next acquisition
-		// and risking a revive of a waiter that already left. tsClean on
-		// a queued node is stable (arming happens before enqueue), so
-		// the gate cannot race the waiter's own timeout.
-		if nn := next.next.Load(); nn != nil && next.tstate.Load() == tsClean && l.activeEstimate(next) > l.minActive {
+		// Only untimed (TSClean) waiters are culled: a timed waiter must
+		// stay in the main queue, where an abandonment is skipped within
+		// one release's walk — in the passive list a revive could grant
+		// the lock to a waiter that already left. TSClean on a queued
+		// node is stable (arming happens before enqueue), so the gate
+		// cannot race the waiter's own timeout.
+		if nn := next.Next.Load(); nn != nil && next.TState.Load() == TSClean && l.activeEstimate(next) > l.minActive {
 			// The passivation delay gates the cull on sustained pressure:
 			// only after passivationDelay consecutive eligible releases
 			// does the queue actually shed a waiter.
 			if l.cullStreak++; l.cullStreak > l.passivationDelay {
-				next.next.Store(l.passiveHead)
+				next.Next.Store(l.passiveHead)
 				l.passiveHead = next
 				l.passiveLen++
 				l.stats.culled++
@@ -296,27 +247,18 @@ func (l *Malthusian) releaseFrom(n *mcsNode) {
 		} else {
 			l.cullStreak = 0
 		}
-		if grantTo(l.wait, next) {
+		if next.Grant(l.wait, granted) {
 			return
 		}
 		n = next // abandoned: continue the release from the skipped node
 	}
 }
 
-// retireIfAbandoned returns an abandoned node to its owner. The
-// holder's own node is tsClean, so the common release pays one load of
-// a line it just read the next link from.
-func (n *mcsNode) retireIfAbandoned() {
-	if n.tstate.Load() == tsAbandoned {
-		n.tstate.Store(tsClean)
-	}
-}
-
 // activeEstimate counts linked waiters up to a small bound — enough to
 // decide whether culling keeps minActive circulating.
-func (l *Malthusian) activeEstimate(from *mcsNode) int {
+func (l *Malthusian) activeEstimate(from *Node) int {
 	count := 0
-	for cur := from; cur != nil && count < l.minActive+2; cur = cur.next.Load() {
+	for cur := from; cur != nil && count < l.minActive+2; cur = cur.Next.Load() {
 		count++
 	}
 	return count
@@ -333,9 +275,9 @@ func (l *Malthusian) CullStats() (uint64, uint64) { return l.stats.culled, l.sta
 // or while the lock is otherwise quiescent enough that the passive list
 // is stable).
 func (l *Malthusian) passiveParked() (parked, total int) {
-	for cur := l.passiveHead; cur != nil; cur = cur.next.Load() {
+	for cur := l.passiveHead; cur != nil; cur = cur.Next.Load() {
 		total++
-		if cur.wait.Parked() {
+		if cur.Wait.Parked() {
 			parked++
 		}
 	}

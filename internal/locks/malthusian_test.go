@@ -12,7 +12,7 @@ import (
 
 func TestMalthusianMutualExclusion(t *testing.T) {
 	const threads, iters = 8, 300
-	l := DefaultMalthusian(threads)
+	l := DefaultMalthusian()
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -40,7 +40,7 @@ func TestMalthusianCullsUnderContention(t *testing.T) {
 	const threads, iters = 10, 400
 	// Aggressive revival would mask culling; use a large mask so culled
 	// threads mostly stay passive within the run.
-	l := NewMalthusian(threads, 2, 0xffff)
+	l := NewMalthusian(2, 0xffff)
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
@@ -68,7 +68,7 @@ func TestMalthusianCullsUnderContention(t *testing.T) {
 }
 
 func TestMalthusianSingleThread(t *testing.T) {
-	l := DefaultMalthusian(1)
+	l := DefaultMalthusian()
 	th := NewThread(0, 0)
 	for i := 0; i < 200; i++ {
 		l.Lock(th)
@@ -82,7 +82,7 @@ func TestMalthusianSingleThread(t *testing.T) {
 func TestMalthusianTwoThreadsNeverCull(t *testing.T) {
 	// With minActive 2 and only two threads, the estimate never exceeds
 	// the floor, so the lock degenerates to plain MCS.
-	l := NewMalthusian(2, 2, 0xff)
+	l := NewMalthusian(2, 0xff)
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -107,7 +107,7 @@ func TestMalthusianTwoThreadsNeverCull(t *testing.T) {
 }
 
 func TestMalthusianMinActiveNormalised(t *testing.T) {
-	l := NewMalthusian(1, 0, 1)
+	l := NewMalthusian(0, 1)
 	if l.minActive != 1 {
 		t.Fatalf("minActive = %d, want 1", l.minActive)
 	}
@@ -119,7 +119,7 @@ func TestMalthusianQuiescenceProperty(t *testing.T) {
 	f := func(nThreads, nIters uint8, mask uint16) bool {
 		threads := int(nThreads)%6 + 2
 		iters := int(nIters)%40 + 1
-		l := NewMalthusian(threads, 2, uint64(mask))
+		l := NewMalthusian(2, uint64(mask))
 		var counter int
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
@@ -171,11 +171,11 @@ func waitParked(t *testing.T, what string, cond func() bool) {
 // reads are atomic, so the assertions are race-free). C's unlock
 // empties the queue, which must revive B.
 func TestMalthusianPassiveWaitersPark(t *testing.T) {
-	l := NewMalthusian(3, 1, ^uint64(0))
+	l := NewMalthusian(1, ^uint64(0))
 	l.SetWait(waiter.SpinThenPark{Yields: -1}) // park right after the busy budget
 
 	thA, thB, thC := NewThread(0, 0), NewThread(1, 1), NewThread(2, 0)
-	nodeB, nodeC := &l.nodes[1][0], &l.nodes[2][0]
+	nodeB, nodeC := thB.Node(0), thC.Node(0)
 
 	l.Lock(thA)
 	bDone := make(chan struct{})
@@ -184,7 +184,7 @@ func TestMalthusianPassiveWaitersPark(t *testing.T) {
 		l.Unlock(thB)
 		close(bDone)
 	}()
-	waitParked(t, "B to park behind the holder", func() bool { return nodeB.wait.Parked() })
+	waitParked(t, "B to park behind the holder", func() bool { return nodeB.Wait.Parked() })
 	cGot := make(chan struct{})
 	cRelease := make(chan struct{})
 	go func() {
@@ -193,7 +193,7 @@ func TestMalthusianPassiveWaitersPark(t *testing.T) {
 		<-cRelease
 		l.Unlock(thC)
 	}()
-	waitParked(t, "C to park behind B", func() bool { return nodeC.wait.Parked() })
+	waitParked(t, "C to park behind B", func() bool { return nodeC.Wait.Parked() })
 
 	// A's unlock: B has a linked successor and the active estimate (2)
 	// exceeds minActive (1), so B is culled and C granted.
@@ -202,16 +202,16 @@ func TestMalthusianPassiveWaitersPark(t *testing.T) {
 
 	// B is passive while C holds the lock. It must be parked — flag up,
 	// park count frozen — i.e. consuming no CPU-visible spin iterations.
-	if !nodeB.wait.Parked() {
+	if !nodeB.Wait.Parked() {
 		t.Fatal("culled waiter is not parked — the passivation loop bypassed the policy")
 	}
-	parks := nodeB.wait.Parks()
+	parks := nodeB.Wait.Parks()
 	for i := 0; i < 100; i++ {
 		runtime.Gosched()
 	}
-	if !nodeB.wait.Parked() || nodeB.wait.Parks() != parks {
+	if !nodeB.Wait.Parked() || nodeB.Wait.Parks() != parks {
 		t.Fatalf("passive waiter kept executing: parked=%v parks %d -> %d",
-			nodeB.wait.Parked(), parks, nodeB.wait.Parks())
+			nodeB.Wait.Parked(), parks, nodeB.Wait.Parks())
 	}
 
 	// C's unlock empties the queue: the mandatory drain revive must wake

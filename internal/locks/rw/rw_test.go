@@ -48,7 +48,7 @@ func TestIndicatorPadding(t *testing.T) {
 // count, writer excludes readers and vice versa, and every counter
 // returns to zero.
 func TestBasicRW(t *testing.T) {
-	l := New(locks.NewMCS(2), 2, 2)
+	l := New(locks.NewMCS(), 2, 2)
 	t0 := locks.NewThread(0, 0)
 	t1 := locks.NewThread(1, 1)
 
@@ -159,7 +159,7 @@ func TestAnonReleasePairsByStripe(t *testing.T) {
 // failed LockTimeout the waiting count must be retracted (or readers
 // would defer forever under writer preference) and the gate released.
 func TestWriterTimeoutBackout(t *testing.T) {
-	l := New(locks.NewMCS(2), 2, 2)
+	l := New(locks.NewMCS(), 2, 2)
 	reader := locks.NewThread(0, 0)
 	writer := locks.NewThread(1, 1)
 
@@ -219,7 +219,7 @@ func TestNeutralMode(t *testing.T) {
 // policy suffix) and that SetWait reaches both the reader layer and
 // the gate.
 func TestNameAndSetWait(t *testing.T) {
-	gate := locks.NewMCS(1)
+	gate := locks.NewMCS()
 	l := New(gate, 2, 1)
 	if got := l.Name(); got != "MCS-rw" {
 		t.Fatalf("Name() = %q, want MCS-rw", got)

@@ -26,17 +26,17 @@ func assertUntouched(t *testing.T, name string, states []*waiter.State) {
 	}
 }
 
-// mcsStates collects the wait states of one thread's preallocated nodes.
-func mcsStates(nodes [][MaxNesting]mcsNode, id int) []*waiter.State {
+// nodeStates collects the wait states of a thread's queue nodes.
+func nodeStates(th *Thread) []*waiter.State {
 	out := make([]*waiter.State, 0, MaxNesting)
-	for j := range nodes[id] {
-		out = append(out, &nodes[id][j].wait)
+	for j := range th.nodes {
+		out = append(out, &th.nodes[j].Wait)
 	}
 	return out
 }
 
 func TestTryLockNeverTouchesWaiterStateMCS(t *testing.T) {
-	l := NewMCS(2)
+	l := NewMCS()
 	l.SetWait(waiter.SpinThenPark{})
 	holder, prober := NewThread(0, 0), NewThread(1, 1)
 	l.Lock(holder)
@@ -45,19 +45,19 @@ func TestTryLockNeverTouchesWaiterStateMCS(t *testing.T) {
 			t.Fatal("TryLock succeeded on a held MCS lock")
 		}
 	}
-	assertUntouched(t, "MCS-park", mcsStates(l.nodes, prober.ID))
+	assertUntouched(t, "MCS-park", nodeStates(prober))
 	l.Unlock(holder)
 	// A successful TryLock must not touch the state either (it enters
 	// an empty queue, where no one can wake it and it never waits).
 	if !l.TryLock(prober) {
 		t.Fatal("TryLock failed on a free MCS lock")
 	}
-	assertUntouched(t, "MCS-park", mcsStates(l.nodes, prober.ID))
+	assertUntouched(t, "MCS-park", nodeStates(prober))
 	l.Unlock(prober)
 }
 
 func TestTryLockNeverTouchesWaiterStateMalthusian(t *testing.T) {
-	l := DefaultMalthusian(2)
+	l := DefaultMalthusian()
 	l.SetWait(waiter.SpinThenPark{})
 	holder, prober := NewThread(0, 0), NewThread(1, 1)
 	l.Lock(holder)
@@ -66,7 +66,7 @@ func TestTryLockNeverTouchesWaiterStateMalthusian(t *testing.T) {
 			t.Fatal("TryLock succeeded on a held MCSCR lock")
 		}
 	}
-	assertUntouched(t, "MCSCR-park", mcsStates(l.nodes, prober.ID))
+	assertUntouched(t, "MCSCR-park", nodeStates(prober))
 	l.Unlock(holder)
 }
 

@@ -150,23 +150,18 @@ func TestLRUClampsShards(t *testing.T) {
 	}
 }
 
-func newTestDB(threads int, cache bool) *DB {
-	arena := core.NewArena(threads)
-	opts := Options{
-		GlobalLock: core.NewWithArena(arena, core.DefaultOptions()),
-	}
+func newTestDB(cache bool) *DB {
+	opts := Options{GlobalLock: core.New()}
 	if cache {
 		opts.CacheShards = 16
 		opts.CacheCapacity = 4096
-		opts.MkShardLock = func() locks.Mutex {
-			return core.NewWithArena(arena, core.DefaultOptions())
-		}
+		opts.MkShardLock = func() locks.Mutex { return core.New() }
 	}
 	return Open(opts)
 }
 
 func TestDBPutGet(t *testing.T) {
-	db := newTestDB(1, true)
+	db := newTestDB(true)
 	th := locks.NewThread(0, 0)
 	db.Put(th, 10, 100)
 	if v, ok := db.Get(th, 10); !ok || v != 100 {
@@ -178,7 +173,7 @@ func TestDBPutGet(t *testing.T) {
 }
 
 func TestDBRefcountBalance(t *testing.T) {
-	db := newTestDB(1, false)
+	db := newTestDB(false)
 	th := locks.NewThread(0, 0)
 	db.FillSequential(th, 100)
 	for i := 0; i < 50; i++ {
@@ -190,7 +185,7 @@ func TestDBRefcountBalance(t *testing.T) {
 }
 
 func TestDBFillAndReadRandom(t *testing.T) {
-	db := newTestDB(1, true)
+	db := newTestDB(true)
 	th := locks.NewThread(0, 0)
 	db.FillSequential(th, 1000)
 	if n := db.Len(th); n != 1000 {
@@ -209,7 +204,7 @@ func TestDBFillAndReadRandom(t *testing.T) {
 
 func TestDBConcurrentReadRandom(t *testing.T) {
 	const threads = 8
-	db := newTestDB(threads, true)
+	db := newTestDB(true)
 	setup := locks.NewThread(0, 0)
 	db.FillSequential(setup, 2000)
 
@@ -232,7 +227,7 @@ func TestDBConcurrentReadRandom(t *testing.T) {
 
 func TestDBConcurrentMixed(t *testing.T) {
 	const threads = 6
-	db := newTestDB(threads, true)
+	db := newTestDB(true)
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
@@ -270,7 +265,7 @@ func TestOpenValidation(t *testing.T) {
 }
 
 func BenchmarkDBGet(b *testing.B) {
-	db := newTestDB(1, true)
+	db := newTestDB(true)
 	th := locks.NewThread(0, 0)
 	db.FillSequential(th, 10000)
 	b.ResetTimer()

@@ -111,11 +111,14 @@
 //	if mu.LockTimeout(time.Millisecond) { ...; mu.Unlock() }
 //	if err := mu.LockContext(ctx); err == nil { ...; mu.Unlock() }
 //
-// The CNA-specific constructors (NewCNA, NewArena) remain for callers
-// that want the concrete *CNA type, e.g. to read Stats(). Statistics
-// collection is opt-in — build with WithStats(true) (or call
-// EnableStats) before sharing a lock whose counters you intend to read;
-// default-built locks write no counters on any path.
+// The CNA-specific constructors (NewCNA, NewCNAWithOptions) remain for
+// callers that want the concrete *CNA type, e.g. to read Stats(). A CNA
+// lock is its lock struct alone: its queue nodes are the threads' own
+// (each Thread carries one per nesting depth), so a million CNA locks
+// cost a million lock structs. Statistics collection is opt-in — build
+// with WithStats(true) (or call EnableStats) before sharing a lock whose
+// counters you intend to read; default-built locks write no counters on
+// any path.
 //
 // See examples/ for runnable programs and cmd/reproduce for the paper's
 // evaluation.
@@ -173,7 +176,7 @@ func NewThread(id, socket int) *Thread { return locks.NewThread(id, socket) }
 // ---- Registry-first construction ----
 
 // Env carries the construction-time environment for Build: the
-// thread-ID bound, the NUMA topology, and an optional shared CNA Arena.
+// thread-ID bound and the NUMA topology.
 type Env = lockreg.Env
 
 // LockSpec describes one registered algorithm (name, aliases,
@@ -223,9 +226,8 @@ func NewMutex(name string, opts ...BuildOption) (TimedNativeMutex, error) {
 }
 
 // NewMutexIn is NewMutex with an explicit environment: MaxThreads
-// bounds concurrent acquisitions (the slot-pool capacity), Topology
-// shapes the pool's socket striping and the lock's NUMA layout, and a
-// shared Arena works as in Build.
+// bounds concurrent acquisitions (the slot-pool capacity), and Topology
+// shapes the pool's socket striping and the lock's NUMA layout.
 func NewMutexIn(name string, env Env, opts ...BuildOption) (TimedNativeMutex, error) {
 	return gonative.New(name, env, opts...)
 }
@@ -365,7 +367,7 @@ func WithReaderNeutral(on bool) BuildOption { return lockreg.WithReaderNeutral(o
 // Stats()/Handovers().
 func WithStats(on bool) BuildOption { return lockreg.WithStats(on) }
 
-// ---- CNA concrete types (for callers that need Stats or arenas) ----
+// ---- CNA concrete types (for callers that need Stats) ----
 
 // CNA is the paper's compact NUMA-aware lock.
 type CNA = core.Lock
@@ -374,21 +376,13 @@ type CNA = core.Lock
 // reduction).
 type CNAOptions = core.Options
 
-// Arena is shared queue-node storage: one arena serves any number of CNA
-// locks, like the kernel's per-CPU qspinlock nodes.
-type Arena = core.Arena
-
-// NewArena allocates node storage for threads with IDs below maxThreads.
-func NewArena(maxThreads int) *Arena { return core.NewArena(maxThreads) }
-
-// NewCNA returns a CNA lock with the paper's default options, drawing
-// nodes from arena.
-func NewCNA(arena *Arena) *CNA { return core.NewWithArena(arena, core.DefaultOptions()) }
+// NewCNA returns a CNA lock with the paper's default options. It queues
+// the nodes of the Threads that use it, like the kernel's per-CPU
+// qspinlock nodes, so any number of threads may share it.
+func NewCNA() *CNA { return core.New() }
 
 // NewCNAWithOptions returns a CNA lock with explicit options.
-func NewCNAWithOptions(arena *Arena, opts CNAOptions) *CNA {
-	return core.NewWithArena(arena, opts)
-}
+func NewCNAWithOptions(opts CNAOptions) *CNA { return core.NewWithOptions(opts) }
 
 // DefaultCNAOptions is the paper's configuration (THRESHOLD = 0xffff).
 func DefaultCNAOptions() CNAOptions { return core.DefaultOptions() }
@@ -398,7 +392,7 @@ func DefaultCNAOptions() CNAOptions { return core.DefaultOptions() }
 func OptimizedCNAOptions() CNAOptions { return core.OptimizedOptions() }
 
 // NewMCS returns the MCS baseline lock.
-func NewMCS(maxThreads int) Mutex { return locks.NewMCS(maxThreads) }
+func NewMCS() Mutex { return locks.NewMCS() }
 
 // ---- Machine shapes ----
 
