@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -52,8 +53,8 @@ func main() {
 
 	var counts []int
 	for _, s := range strings.Split(*threadsList, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
 			fmt.Fprintf(os.Stderr, "kvbench: bad thread count %q\n", s)
 			os.Exit(2)
 		}

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -32,11 +33,12 @@ func main() {
 	topo := numa.TwoSocketXeonE5()
 	var counts []int
 	for _, s := range strings.Split(*threadsList, ",") {
-		var n int
-		fmt.Sscanf(strings.TrimSpace(s), "%d", &n)
-		if n >= 1 {
-			counts = append(counts, n)
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
+			fmt.Fprintf(os.Stderr, "leveldbbench: bad thread count %q\n", s)
+			os.Exit(2)
 		}
+		counts = append(counts, n)
 	}
 
 	specs, err := lockreg.Resolve(*lockNames)

@@ -6,6 +6,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -26,13 +28,18 @@ func main() {
 		topo = numa.FourSocketXeonE7()
 	}
 
-	fmt.Printf("%-8s %8s %14s %14s %10s\n", "policy", "writers", "total ops", "ops/us", "fairness")
+	var counts []int
 	for _, s := range strings.Split(*threadsList, ",") {
-		var writers int
-		fmt.Sscanf(strings.TrimSpace(s), "%d", &writers)
-		if writers < 1 {
-			continue
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
+			fmt.Fprintf(os.Stderr, "locktorturebench: bad writer count %q\n", s)
+			os.Exit(2)
 		}
+		counts = append(counts, n)
+	}
+
+	fmt.Printf("%-8s %8s %14s %14s %10s\n", "policy", "writers", "total ops", "ops/us", "fairness")
+	for _, writers := range counts {
 		for _, policy := range []qspin.Policy{qspin.PolicyStock, qspin.PolicyCNA} {
 			d := qspin.NewDomain(topo, policy)
 			cfg := locktorture.DefaultConfig(writers, *dur)

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,15 +28,20 @@ func main() {
 		benches = []willitscale.Bench{willitscale.Bench(*benchName)}
 	}
 
+	var counts []int
+	for _, s := range strings.Split(*threadsList, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
+			fmt.Fprintf(os.Stderr, "willitscale: bad thread count %q\n", s)
+			os.Exit(2)
+		}
+		counts = append(counts, n)
+	}
+
 	topo := numa.TwoSocketXeonE5()
 	fmt.Printf("%-16s %-8s %8s %14s %10s\n", "benchmark", "policy", "threads", "ops/us", "fairness")
 	for _, bench := range benches {
-		for _, s := range strings.Split(*threadsList, ",") {
-			var threads int
-			fmt.Sscanf(strings.TrimSpace(s), "%d", &threads)
-			if threads < 1 {
-				continue
-			}
+		for _, threads := range counts {
 			for _, policy := range []qspin.Policy{qspin.PolicyStock, qspin.PolicyCNA} {
 				d := qspin.NewDomain(topo, policy)
 				res, err := willitscale.Run(bench, d, threads, *dur)

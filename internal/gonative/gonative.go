@@ -23,8 +23,9 @@
 // on lines no other slot writes. Each slot's Thread has one queue node,
 // on a line pair of its own. It is the only node the Thread needs:
 // every acquisition through the adapter runs at nesting depth 0, so
-// MCS, MCSCR and CNA queue that node for whichever lock the slot is
-// claimed for, and those locks hold no nodes of their own. A claim
+// MCS, MCSCR, CNA, HMCS's leaves and the cohort MCS locals queue that
+// node for whichever lock the slot is claimed for, and those locks hold
+// no per-thread nodes of their own. A claim
 // starts at the slot a hash of the goroutine's stack address picks —
 // cheap, goroutine-correlated, and stable, so repeat acquisitions from
 // one goroutine reclaim the very slot it just released, its queue-node
@@ -441,10 +442,10 @@ func newMutex(inner locks.TimedMutex, pool *Pool) *Mutex {
 // WrapWithPool builds spec's lock over an existing slot pool, so many
 // adapted locks share one set of thread identities and their queue
 // nodes: an MCS, MCSCR or CNA lock built this way is its lock struct
-// alone, whatever the pool's capacity. The env's MaxThreads is raised
+// alone, and an HMCS or C-BO-MCS lock its lock struct and per-socket
+// queues, whatever the pool's capacity. The env's MaxThreads is raised
 // to the pool's capacity, so locks that keep per-thread state of their
-// own (CLH, HMCS, the cohort locals, the RW reader park states) index
-// every slot's thread.
+// own (CLH, the RW reader park states) index every slot's thread.
 func WrapWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lockreg.Option) *Mutex {
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()

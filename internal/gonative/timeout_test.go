@@ -46,37 +46,42 @@ func TestLockTimeoutExpiryLeavesNoTrace(t *testing.T) {
 }
 
 // TestExpiredSlotDoesNotWaitForItsTombstone is the adapter's twin of
-// lockreg's TestConformanceTimeoutAcrossLocks: two adapted CNA locks
-// over one pool of two slots. A goroutine holds A, so a timed acquire of
-// A from another goroutine expires and leaves its slot's node queued in
-// A, and that slot is then the only free one. B.Lock claims it, and must
-// return while A is still held: the expired waiter took a fresh node for
-// its slot instead of leaving the slot to wait for A's queue.
+// lockreg's TestConformanceTimeoutAcrossLocks, run over each lock that
+// queues its slot thread's node: two adapted locks over one pool of two
+// slots. A goroutine holds A, so a timed acquire of A from another
+// goroutine expires and leaves its slot's node queued in A, and that
+// slot is then the only free one. B.Lock claims it, and must return
+// while A is still held: the expired waiter took a fresh node for its
+// slot instead of leaving the slot to wait for A's queue.
 func TestExpiredSlotDoesNotWaitForItsTombstone(t *testing.T) {
-	spec := lockreg.MustSpec("CNA")
-	pool := NewPool(2, testEnv(2).Topology)
-	a := WrapWithPool(spec, testEnv(2), pool)
-	b := WrapWithPool(spec, testEnv(2), pool)
-	a.Lock()
-	expired := make(chan bool)
-	go func() { expired <- a.LockTimeout(time.Millisecond) }()
-	if <-expired {
-		t.Fatal("timed acquire succeeded with the lock held throughout")
-	}
-	locked := make(chan struct{})
-	go func() {
-		b.Lock()
-		b.Unlock()
-		close(locked)
-	}()
-	select {
-	case <-locked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("B.Lock on the expired waiter's slot waited for A's queue")
-	}
-	a.Unlock()
-	if free, capacity := pool.Free(), pool.Capacity(); free != capacity {
-		t.Fatalf("%d of %d slots free after quiescence", free, capacity)
+	for _, name := range []string{"CNA", "MCS", "MCSCR", "HMCS", "C-BO-MCS"} {
+		t.Run(name, func(t *testing.T) {
+			spec := lockreg.MustSpec(name)
+			pool := NewPool(2, testEnv(2).Topology)
+			a := WrapWithPool(spec, testEnv(2), pool)
+			b := WrapWithPool(spec, testEnv(2), pool)
+			a.Lock()
+			expired := make(chan bool)
+			go func() { expired <- a.LockTimeout(time.Millisecond) }()
+			if <-expired {
+				t.Fatal("timed acquire succeeded with the lock held throughout")
+			}
+			locked := make(chan struct{})
+			go func() {
+				b.Lock()
+				b.Unlock()
+				close(locked)
+			}()
+			select {
+			case <-locked:
+			case <-time.After(2 * time.Second):
+				t.Fatal("B.Lock on the expired waiter's slot waited for A's queue")
+			}
+			a.Unlock()
+			if free, capacity := pool.Free(), pool.Capacity(); free != capacity {
+				t.Fatalf("%d of %d slots free after quiescence", free, capacity)
+			}
+		})
 	}
 }
 

@@ -35,12 +35,14 @@ func shardLockBytes(spec lockreg.Spec, capacity int) float64 {
 }
 
 // TestShardLocksAreCompact pins the paper's compactness on the serving
-// path: queue nodes belong to the pool's threads, so an MCS, MCSCR or
-// CNA shard lock costs its lock struct and adapter alone, the same at
-// pool capacity 4 as at 256, and a CNA one stays within 512 bytes. Not
-// parallel: the allocation counters are process-wide.
+// path: queue nodes belong to the pool's threads, so an MCS, MCSCR, CNA,
+// HMCS or C-BO-MCS shard lock costs its lock struct (with HMCS's
+// per-socket root nodes) and adapter alone, the same at pool capacity 4
+// as at 256, and a CNA one stays within 512 bytes. Not parallel: the
+// allocation counters are process-wide.
 func TestShardLocksAreCompact(t *testing.T) {
-	for _, name := range []string{"CNA", "CNA-opt", "CNA-fissile", "MCS", "MCSCR"} {
+	for _, name := range []string{"CNA", "CNA-opt", "CNA-fissile", "MCS", "MCSCR",
+		"HMCS", "C-BO-MCS", "HMCS-fissile", "C-BO-MCS-fissile", "HMCS-cr", "C-BO-MCS-cr"} {
 		spec := lockreg.MustSpec(name)
 		small, large := shardLockBytes(spec, 4), shardLockBytes(spec, 256)
 		if small != large {

@@ -20,8 +20,9 @@
 //
 // An Env carries the machine-shaped inputs every constructor may need:
 // the thread-ID bound and the NUMA topology (socket count). Queue nodes
-// are not among them: MCS, MCSCR and CNA queue the threads' own nodes
-// (see locks.Node), so those locks cost the same whatever the bound.
+// are not among them: MCS, MCSCR, CNA, HMCS and the cohort MCS locals
+// queue the threads' own nodes (see locks.Node), so those locks cost
+// the same whatever the bound.
 // Functional options (WithThreshold, WithBackoff, WithMaxLocalPasses,
 // ...) tune the per-algorithm policy knobs; options an algorithm does
 // not understand are ignored, so one option list can configure a whole
@@ -97,8 +98,7 @@ const (
 type Env struct {
 	// MaxThreads bounds the thread IDs that will use the lock; values
 	// below 1 are treated as 1. Locks that keep per-thread state of their
-	// own (CLH, HMCS, the cohort locals, the RW reader park states) size
-	// it by this bound.
+	// own (CLH, the RW reader park states) size it by this bound.
 	MaxThreads int
 	// Topology is the (virtual) NUMA machine; its socket count sizes the
 	// hierarchical locks. A zero Topology means the paper's primary
@@ -429,7 +429,7 @@ func init() {
 		Description: "cohort lock: backoff-TAS global, MCS locals (best cohort variant)",
 		NUMAAware:   true,
 		build: func(env Env, c config) locks.TimedMutex {
-			return cohort.NewCBOMCS(env.Sockets(), env.Threads(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
+			return cohort.NewCBOMCS(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
 	})
 	register(Spec{
@@ -453,7 +453,7 @@ func init() {
 		Description: "hierarchical MCS: per-socket queues plus a root queue (Chabbi 2015)",
 		NUMAAware:   true,
 		build: func(env Env, c config) locks.TimedMutex {
-			return hmcs.New(env.Sockets(), env.Threads(), uint64(c.maxLocalPassesOr(int(hmcs.DefaultThreshold))))
+			return hmcs.New(env.Sockets(), uint64(c.maxLocalPassesOr(int(hmcs.DefaultThreshold))))
 		},
 	})
 	register(Spec{

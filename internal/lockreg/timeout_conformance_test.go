@@ -21,6 +21,7 @@ package lockreg
 // lock's grant points.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,14 @@ func TestConformanceTimeoutExpiry(t *testing.T) {
 // passive list populated and its grant path busy, so deadlines expire
 // at every stage of both protocols. Specs without those layers ignore
 // the options.
+//
+// On two CPUs the workers barely overlap unless made to, so worker 0
+// takes the lock before it lets the others start, and holds it on every
+// 64th of its Lock iterations until a positive-deadline LockTimeout has
+// expired or every other worker is blocked in Lock or finished. By the
+// (w+i)%4 schedule worker 1's second iteration is a 1µs LockTimeout
+// against that first hold, so every spec abandons at least one timed
+// wait by construction; a spec that logs none fails.
 func TestConformanceTimeoutStorm(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -99,25 +108,38 @@ func TestConformanceTimeoutStorm(t *testing.T) {
 			ths := confThreads(workers)
 
 			var counter uint64
-			var acquired, shed atomic.Uint64
+			var acquired, shed, expired atomic.Uint64
 			var inside atomic.Int32
+			// stalled counts the workers blocked in Lock or finished.
+			var stalled atomic.Int32
+			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					defer stalled.Add(1)
 					th := ths[w]
+					if w != 0 {
+						<-start
+					}
 					for i := 0; i < iters; i++ {
 						switch (w + i) % 4 {
 						case 0:
+							stalled.Add(1)
 							m.Lock(th)
+							stalled.Add(-1)
 						case 1:
 							if !m.TryLock(th) {
 								shed.Add(1)
 								continue
 							}
 						default:
-							if !m.LockTimeout(th, time.Duration(i%7)*time.Microsecond) {
+							d := time.Duration(i%7) * time.Microsecond
+							if !m.LockTimeout(th, d) {
+								if d > 0 {
+									expired.Add(1)
+								}
 								shed.Add(1)
 								continue
 							}
@@ -127,12 +149,24 @@ func TestConformanceTimeoutStorm(t *testing.T) {
 						}
 						counter++
 						acquired.Add(1)
+						if w == 0 && i%256 == 0 {
+							if i == 0 {
+								close(start)
+							}
+							for seen := expired.Load(); expired.Load() == seen && stalled.Load() < workers-1; {
+								runtime.Gosched()
+							}
+						}
 						inside.Add(-1)
 						m.Unlock(th)
 					}
 				}(w)
 			}
 			wg.Wait()
+			t.Logf("%s: %d positive-deadline expiries", spec.Name, expired.Load())
+			if expired.Load() == 0 {
+				t.Errorf("%s: no positive-deadline LockTimeout expired: the storm never exercised abandonment", spec.Name)
+			}
 			if counter != acquired.Load() {
 				t.Fatalf("%s: counter %d != acquisitions %d (shed %d): lost or duplicated grant",
 					spec.Name, counter, acquired.Load(), shed.Load())

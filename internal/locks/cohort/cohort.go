@@ -38,7 +38,8 @@ type Global interface {
 
 // Local is a socket-level lock supporting cohort passing and detection.
 // The slot argument is the Thread nesting slot reserved by the composite
-// lock; per-thread queue state is indexed by it.
+// lock; a queue-based local queues the thread's node for it
+// (t.Node(slot)).
 type Local interface {
 	// Lock acquires the local lock; the return value reports whether the
 	// previous holder passed global ownership to the caller.
@@ -63,8 +64,11 @@ type Local interface {
 type TimedLocal interface {
 	Local
 	// LockTimeout attempts the local acquisition until the deadline.
-	// acquired=false means expiry (no local lock, no slot consumed by
-	// the local layer); globalPassed has Lock's meaning when acquired.
+	// acquired=false means expiry: no local lock, and the slot has been
+	// released (slot must be t's top nesting slot; expiry settles
+	// through locks.Thread.Expire, which releases it), so the caller
+	// must not release it again. globalPassed has Lock's meaning when
+	// acquired.
 	LockTimeout(t *locks.Thread, slot int, deadline time.Time) (acquired, globalPassed bool)
 }
 
@@ -217,8 +221,7 @@ func (c *Lock) LockTimeout(t *locks.Thread, d time.Duration) bool {
 	slot := t.AcquireSlot()
 	acquired, passed := tl.LockTimeout(t, slot, deadline)
 	if !acquired {
-		t.ReleaseSlot()
-		return false
+		return false // the local's expiry released the slot
 	}
 	if passed {
 		// Global ownership arrived via cohort passing.

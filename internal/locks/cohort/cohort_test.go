@@ -3,14 +3,15 @@ package cohort
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
-func variants(sockets, maxThreads int) map[string]*Lock {
+func variants(sockets int) map[string]*Lock {
 	return map[string]*Lock{
-		"C-BO-MCS":  NewCBOMCS(sockets, maxThreads, DefaultMaxLocalPasses),
+		"C-BO-MCS":  NewCBOMCS(sockets, DefaultMaxLocalPasses),
 		"C-TKT-TKT": NewCTKTTKT(sockets, DefaultMaxLocalPasses),
 		"C-PTL-TKT": NewCPTLTKT(sockets, DefaultMaxLocalPasses),
 	}
@@ -40,14 +41,14 @@ func hammer(t *testing.T, lock locks.Mutex, threads, iters int) {
 }
 
 func TestMutualExclusion(t *testing.T) {
-	for name, lock := range variants(2, 8) {
+	for name, lock := range variants(2) {
 		lock := lock
 		t.Run(name, func(t *testing.T) { hammer(t, lock, 8, 200) })
 	}
 }
 
 func TestSingleThread(t *testing.T) {
-	for name, lock := range variants(2, 1) {
+	for name, lock := range variants(2) {
 		lock := lock
 		t.Run(name, func(t *testing.T) {
 			th := locks.NewThread(0, 0)
@@ -65,7 +66,7 @@ func TestSingleThread(t *testing.T) {
 func TestSingleSocket(t *testing.T) {
 	// With one socket, all handovers are cohort passes (up to the budget);
 	// the lock must still be correct.
-	lock := NewCBOMCS(1, 4, 4)
+	lock := NewCBOMCS(1, 4)
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -88,7 +89,7 @@ func TestSingleSocket(t *testing.T) {
 
 func TestFourSockets(t *testing.T) {
 	place := numa.NewPlacement(numa.FourSocketXeonE7(), 8, numa.Spread)
-	for name, lock := range variants(4, 8) {
+	for name, lock := range variants(4) {
 		lock := lock
 		t.Run(name, func(t *testing.T) {
 			var counter int
@@ -114,7 +115,7 @@ func TestFourSockets(t *testing.T) {
 }
 
 func TestSocketOutOfRangePanics(t *testing.T) {
-	lock := NewCBOMCS(2, 2, 64)
+	lock := NewCBOMCS(2, 64)
 	th := locks.NewThread(0, 5)
 	defer func() {
 		if recover() == nil {
@@ -143,7 +144,7 @@ func TestMaxLocalPassesNormalised(t *testing.T) {
 func TestCohortPassingKeepsLockLocal(t *testing.T) {
 	// Two threads on socket 0, two on socket 1, heavy traffic: the vast
 	// majority of handovers should be local thanks to cohort passing.
-	lock := NewCBOMCS(2, 4, DefaultMaxLocalPasses)
+	lock := NewCBOMCS(2, DefaultMaxLocalPasses)
 	lock.EnableStats()
 	hammer(t, lock, 4, 500)
 	local, remote := lock.Handovers().Counts()
@@ -158,7 +159,7 @@ func TestCohortPassingKeepsLockLocal(t *testing.T) {
 
 func TestNestedCohortLocks(t *testing.T) {
 	// Nesting two distinct cohort locks exercises the slot plumbing.
-	a := NewCBOMCS(2, 4, 16)
+	a := NewCBOMCS(2, 16)
 	b := NewCTKTTKT(2, 16)
 	var counter int
 	var wg sync.WaitGroup
@@ -179,5 +180,34 @@ func TestNestedCohortLocks(t *testing.T) {
 	wg.Wait()
 	if counter != 600 {
 		t.Fatalf("counter = %d, want 600", counter)
+	}
+}
+
+// TestPassToAbandonedWaiterReleasesGlobal: a cohort pass that finds only
+// a tombstone reaches nobody, so the releaser still owns the global lock
+// and must release it. A socket-0 waiter's timed acquire expires behind
+// the socket-0 holder; the holder's release sees a waiter, passes, and
+// the pass lands on nobody. If the global lock leaked, a socket-1
+// TryLock would fail forever.
+func TestPassToAbandonedWaiterReleasesGlobal(t *testing.T) {
+	lock := NewCBOMCS(2, DefaultMaxLocalPasses)
+	holder, timed, remote := locks.NewThread(0, 0), locks.NewThread(1, 0), locks.NewThread(2, 1)
+	lock.Lock(holder)
+	if lock.LockTimeout(timed, time.Millisecond) {
+		t.Fatal("LockTimeout succeeded on a held lock")
+	}
+	if d := timed.Depth(); d != 0 {
+		t.Fatalf("expired LockTimeout left nesting depth %d", d)
+	}
+	lock.Unlock(holder)
+	if !lock.TryLock(remote) {
+		t.Fatal("socket-1 TryLock failed on a free lock: the pass to the tombstone kept the global lock")
+	}
+	lock.Unlock(remote)
+	for _, th := range []*locks.Thread{holder, timed} {
+		if !lock.TryLock(th) {
+			t.Fatalf("thread %d: TryLock failed on a free lock", th.ID)
+		}
+		lock.Unlock(th)
 	}
 }

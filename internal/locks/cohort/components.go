@@ -5,141 +5,74 @@ import (
 	"time"
 
 	"repro/internal/locks"
-	"repro/internal/spinwait"
 	"repro/internal/waiter"
 )
 
 // ---- Local MCS with cohort passing (the "MCS" of C-BO-MCS) ----
 
-// Node status values. mcsWait means the waiter is still spinning; the
-// other two communicate whether global-lock ownership travelled with the
-// local handover.
-const (
-	mcsWait    uint32 = 0 // spinning
-	mcsNoPass  uint32 = 1 // acquired local lock; global NOT passed
-	mcsGotPass uint32 = 2 // acquired local lock; global ownership passed
+// The grant values a local waiter's node receives, as sentinel nodes
+// whose fields are never accessed: both hand over the local lock, and
+// they tell the new holder whether global ownership travelled with it.
+var (
+	noPass  = new(locks.Node) // global NOT passed: acquire it
+	gotPass = new(locks.Node) // global ownership passed
 )
-
-// The timed-acquisition states, mirroring internal/locks/mcs.go where
-// the protocol is documented in full: arm before the tail swap
-// publishes the node, then on expiry one CAS decides the node's fate —
-// tsArmed → tsAbandoned (waiter leaves a tombstone the release walk
-// skips and retires) versus tsArmed → tsGranted (the releaser committed;
-// the waiter accepts at the buzzer).
-const (
-	tsClean     uint32 = iota // not a timed waiter / reusable
-	tsArmed                   // timed waiter enqueued, may still abandon
-	tsAbandoned               // waiter left; releasers skip and retire
-	tsGranted                 // releaser committed the grant to this node
-)
-
-type cohortMCSNode struct {
-	next   atomic.Pointer[cohortMCSNode]
-	status atomic.Uint32
-	// tstate is the timed-acquisition state machine (constants above),
-	// riding in the alignment hole after status; untimed acquires never
-	// write it.
-	tstate atomic.Uint32
-	wait   waiter.State
-	ready  func() bool // status has left mcsWait
-	_      [2]uint64   // pad to one 64-byte cache line
-}
-
-// awaitReusable spins until a release walk has retired a previously
-// abandoned node (bounded: the tombstone sits behind a holder, and
-// every local release walks and retires the tombstones it skips).
-func (n *cohortMCSNode) awaitReusable() {
-	var s spinwait.Spinner
-	for n.tstate.Load() != tsClean {
-		s.Pause()
-	}
-}
 
 // MCSLocal is an MCS lock extended with cohort passing: release can hand
 // the successor a flag saying the global lock travels with the local one.
+// It queues the threads' own nodes (locks.Node, at the composite's
+// nesting slot) and follows their Grant / AwaitNext / Thread.Expire
+// protocol, so it is its tail word and its waiting policy.
 type MCSLocal struct {
-	tail  atomic.Pointer[cohortMCSNode]
-	wait  waiter.Policy
-	nodes [][locks.MaxNesting]cohortMCSNode
+	tail atomic.Pointer[locks.Node]
+	wait waiter.Policy
 }
 
 // NewMCSLocal returns a cohort-capable MCS local lock.
-func NewMCSLocal(maxThreads int) *MCSLocal {
-	l := &MCSLocal{
-		nodes: make([][locks.MaxNesting]cohortMCSNode, maxThreads),
-		wait:  waiter.Default,
-	}
-	for i := range l.nodes {
-		for j := range l.nodes[i] {
-			n := &l.nodes[i][j]
-			n.ready = func() bool { return n.status.Load() != mcsWait }
-		}
-	}
-	return l
-}
+func NewMCSLocal() *MCSLocal { return &MCSLocal{wait: waiter.Default} }
 
 // SetWait implements waiter.Setter. Call before the lock is shared.
 func (l *MCSLocal) SetWait(p waiter.Policy) { l.wait = p }
 
 // Lock implements Local.
 func (l *MCSLocal) Lock(t *locks.Thread, slot int) bool {
-	n := &l.nodes[t.ID][slot]
-	if n.tstate.Load() != tsClean {
-		// Node still queued from an earlier timed-out acquire on this
-		// slot; wait for a release walk to retire it.
-		n.awaitReusable()
-	}
-	n.next.Store(nil)
-	n.status.Store(mcsWait)
+	n := t.Node(slot)
+	n.ClearNext()
 	prev := l.tail.Swap(n)
 	if prev == nil {
-		n.status.Store(mcsNoPass)
 		return false
 	}
-	l.wait.Prepare(&n.wait)
-	prev.next.Store(n)
-	l.wait.Wait(&n.wait, n.ready)
-	return n.status.Load() == mcsGotPass
+	// Contended: as in locks.MCS, the spin word and park residue are
+	// cleared here, before the link publishes the node.
+	n.Spin.Store(nil)
+	l.wait.Prepare(&n.Wait)
+	prev.Next.Store(n)
+	l.wait.Wait(&n.Wait, n.Ready)
+	return n.Spin.Load() == gotPass
 }
 
 // LockTimeout is the timed Local acquisition (C-BO-MCS's composite
-// LockTimeout uses it): the tstate abandonment protocol of
-// internal/locks/mcs.go on the cohort node. acquired=false means the
-// deadline passed without the local lock (the node may remain queued as
-// a tombstone until a release walk retires it); globalPassed has Lock's
-// meaning when acquired.
+// LockTimeout uses it): the locks.Node abandonment protocol (see
+// locks.TSClean). acquired=false means the deadline passed without the
+// local lock: the node stays queued as a tombstone, and Thread.Expire
+// has given t a fresh node for the slot and released the slot.
+// globalPassed has Lock's meaning when acquired.
 func (l *MCSLocal) LockTimeout(t *locks.Thread, slot int, deadline time.Time) (acquired, globalPassed bool) {
-	n := &l.nodes[t.ID][slot]
-	if n.tstate.Load() != tsClean {
-		return false, false // node still queued; a timed attempt fails fast
-	}
-	n.next.Store(nil)
-	n.status.Store(mcsWait)
-	l.wait.Prepare(&n.wait)
+	n := t.Node(slot)
+	n.ClearNext()
 	// Arm before the tail swap publishes the node: a releaser must never
 	// observe this (timed) node unarmed.
-	n.tstate.Store(tsArmed)
-	prev := l.tail.Swap(n)
-	if prev == nil {
-		n.tstate.Store(tsClean)
-		n.status.Store(mcsNoPass)
-		return true, false
+	n.Spin.Store(nil)
+	l.wait.Prepare(&n.Wait)
+	n.TState.Store(locks.TSArmed)
+	if prev := l.tail.Swap(n); prev != nil {
+		prev.Next.Store(n)
+		if !l.wait.WaitUntil(&n.Wait, n.Ready, deadline) && !t.Expire(n) {
+			return false, false
+		}
 	}
-	prev.next.Store(n)
-	if l.wait.WaitUntil(&n.wait, n.ready, deadline) {
-		n.tstate.Store(tsClean)
-		return true, n.status.Load() == mcsGotPass
-	}
-	if n.tstate.CompareAndSwap(tsArmed, tsAbandoned) {
-		return false, false
-	}
-	// tsGranted: the releaser is (or just finished) storing the grant.
-	var s spinwait.Spinner
-	for !n.ready() {
-		s.Pause()
-	}
-	n.tstate.Store(tsClean)
-	return true, n.status.Load() == mcsGotPass
+	n.TState.Store(locks.TSClean)
+	return true, n.Spin.Load() == gotPass
 }
 
 // TryLock implements Local: one CAS on the empty local tail. Entering
@@ -147,78 +80,43 @@ func (l *MCSLocal) LockTimeout(t *locks.Thread, slot int, deadline time.Time) (a
 // requires a linked waiter), so globalPassed is always false on
 // success.
 func (l *MCSLocal) TryLock(t *locks.Thread, slot int) (acquired, globalPassed bool) {
-	n := &l.nodes[t.ID][slot]
-	if n.tstate.Load() != tsClean {
-		return false, false // node still queued from a timed-out acquire
-	}
-	n.next.Store(nil)
-	n.status.Store(mcsNoPass)
-	if l.tail.CompareAndSwap(nil, n) {
-		return true, false
-	}
-	return false, false
-}
-
-// grantLocal commits the local handover to next unless next abandoned
-// its timed wait (false — the caller must skip the node).
-func (l *MCSLocal) grantLocal(next *cohortMCSNode, status uint32) bool {
-	if next.tstate.Load() != tsClean {
-		if !next.tstate.CompareAndSwap(tsArmed, tsGranted) {
-			return false // tsAbandoned
-		}
-	}
-	next.status.Store(status)
-	l.wait.Wake(&next.wait)
-	return true
+	n := t.Node(slot)
+	n.ClearNext()
+	return l.tail.CompareAndSwap(nil, n), false
 }
 
 // Unlock implements Local. delivered reports whether the handover (and
 // with it a passGlobal=true cohort pass) actually reached a waiter:
 // with timed waiters in the queue, every linked waiter may have
-// abandoned between HasWaiter and here, in which case the queue is
-// drained (tombstones retired), no one received the pass, and the
-// composite release must dispose of the global lock itself.
+// abandoned between HasWaiter and here, in which case the release walk
+// skips their tombstones and empties the queue, no one received the
+// pass, and the composite release must dispose of the global lock
+// itself.
 func (l *MCSLocal) Unlock(t *locks.Thread, slot int, passGlobal bool) (delivered bool) {
-	n := &l.nodes[t.ID][slot]
-	status := mcsNoPass
+	v := noPass
 	if passGlobal {
-		status = mcsGotPass
+		v = gotPass
 	}
-	cur := n
+	n := t.Node(slot)
 	for {
-		next := cur.next.Load()
+		next := n.Next.Load()
 		if next == nil {
-			if l.tail.CompareAndSwap(cur, nil) {
-				if cur != n {
-					cur.tstate.Store(tsClean) // retire the last tombstone
-				}
+			if l.tail.CompareAndSwap(n, nil) {
 				return false // queue drained: nothing delivered
 			}
-			// A successor has swapped the tail and is about to link in;
-			// wait for the link (a two-instruction window — the linker
-			// never parks inside it).
-			var s spinwait.Spinner
-			for next = cur.next.Load(); next == nil; next = cur.next.Load() {
-				s.Pause()
-			}
+			next = n.AwaitNext()
 		}
-		// cur's link has been read: an abandoned cur (skipped tombstone
-		// from an earlier iteration) can be retired now — its owner may
-		// reuse it the moment tstate returns to tsClean.
-		if cur != n {
-			cur.tstate.Store(tsClean)
-		}
-		if l.grantLocal(next, status) {
+		if next.Grant(l.wait, v) {
 			return true
 		}
-		cur = next
+		n = next
 	}
 }
 
 // HasWaiter implements Local.
 func (l *MCSLocal) HasWaiter(t *locks.Thread, slot int) bool {
-	n := &l.nodes[t.ID][slot]
-	return n.next.Load() != nil || l.tail.Load() != n
+	n := t.Node(slot)
+	return n.Next.Load() != nil || l.tail.Load() != n
 }
 
 // ---- Local ticket with cohort passing (the "TKT" of C-TKT-TKT) ----
@@ -306,10 +204,10 @@ type ptlGlobal struct{ *locks.PartitionedTicket }
 
 // NewCBOMCS builds C-BO-MCS: backoff test-and-set global, MCS locals.
 // The paper reports it as the best-performing Cohort variant.
-func NewCBOMCS(sockets, maxThreads, maxLocalPasses int) *Lock {
+func NewCBOMCS(sockets, maxLocalPasses int) *Lock {
 	local := make([]Local, sockets)
 	for i := range local {
-		local[i] = NewMCSLocal(maxThreads)
+		local[i] = NewMCSLocal()
 	}
 	return New("C-BO-MCS", boGlobal{locks.DefaultBackoffTAS()}, local, maxLocalPasses)
 }

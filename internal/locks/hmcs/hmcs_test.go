@@ -32,7 +32,7 @@ func hammer(t *testing.T, lock *HMCS, place *numa.Placement, threads, iters int)
 
 func TestMutualExclusionTwoSockets(t *testing.T) {
 	place := numa.NewPlacement(numa.TwoSocketXeonE5(), 8, numa.Spread)
-	lock := New(2, 8, DefaultThreshold)
+	lock := New(2, DefaultThreshold)
 	if got := hammer(t, lock, place, 8, 250); got != 2000 {
 		t.Fatalf("counter = %d, want 2000", got)
 	}
@@ -40,14 +40,14 @@ func TestMutualExclusionTwoSockets(t *testing.T) {
 
 func TestMutualExclusionFourSockets(t *testing.T) {
 	place := numa.NewPlacement(numa.FourSocketXeonE7(), 8, numa.Spread)
-	lock := New(4, 8, DefaultThreshold)
+	lock := New(4, DefaultThreshold)
 	if got := hammer(t, lock, place, 8, 250); got != 2000 {
 		t.Fatalf("counter = %d, want 2000", got)
 	}
 }
 
 func TestSingleThread(t *testing.T) {
-	lock := New(2, 1, DefaultThreshold)
+	lock := New(2, DefaultThreshold)
 	th := locks.NewThread(0, 1)
 	for i := 0; i < 100; i++ {
 		lock.Lock(th)
@@ -62,14 +62,14 @@ func TestThresholdOnePassesGlobally(t *testing.T) {
 	// threshold 1 means every release goes through the root: correctness
 	// must hold even with zero cohort passing.
 	place := numa.NewPlacement(numa.TwoSocketXeonE5(), 4, numa.Spread)
-	lock := New(2, 4, 1)
+	lock := New(2, 1)
 	if got := hammer(t, lock, place, 4, 250); got != 1000 {
 		t.Fatalf("counter = %d, want 1000", got)
 	}
 }
 
 func TestThresholdNormalised(t *testing.T) {
-	lock := New(2, 1, 0)
+	lock := New(2, 0)
 	if lock.threshold != 1 {
 		t.Fatalf("threshold = %d, want 1", lock.threshold)
 	}
@@ -81,7 +81,7 @@ func TestZeroSocketsPanics(t *testing.T) {
 			t.Fatal("New(0, ...) did not panic")
 		}
 	}()
-	New(0, 1, 1)
+	New(0, 1)
 }
 
 // TestLocalHandoverDominates: HMCS passes the lock within the holder's
@@ -93,7 +93,7 @@ func TestZeroSocketsPanics(t *testing.T) {
 // chain must serve both socket-0 threads before the earlier socket-1
 // arrival: two local handovers, then one remote.
 func TestLocalHandoverDominates(t *testing.T) {
-	lock := New(2, 4, DefaultThreshold)
+	lock := New(2, DefaultThreshold)
 	lock.EnableStats()
 	holder := locks.NewThread(0, 0)
 	lock.Lock(holder)
@@ -110,9 +110,10 @@ func TestLocalHandoverDominates(t *testing.T) {
 		}
 	}
 	leaf0, leaf1 := lock.leaves[0], lock.leaves[1]
-	enqueue(locks.NewThread(1, 1), func() bool { return leaf0.root.next.Load() == &leaf1.root })
-	enqueue(locks.NewThread(2, 0), func() bool { return lock.nodes[0][0].next.Load() == &lock.nodes[2][0] })
-	enqueue(locks.NewThread(3, 0), func() bool { return lock.nodes[2][0].next.Load() == &lock.nodes[3][0] })
+	th1, th2, th3 := locks.NewThread(1, 1), locks.NewThread(2, 0), locks.NewThread(3, 0)
+	enqueue(th1, func() bool { return leaf0.root.Next.Load() == leaf1.root })
+	enqueue(th2, func() bool { return holder.Node(0).Next.Load() == th2.Node(0) })
+	enqueue(th3, func() bool { return th2.Node(0).Next.Load() == th3.Node(0) })
 	lock.Unlock(holder)
 
 	for i, want := range []int{2, 3, 1} {
@@ -126,8 +127,8 @@ func TestLocalHandoverDominates(t *testing.T) {
 }
 
 func TestNestedHMCS(t *testing.T) {
-	a := New(2, 4, 8)
-	b := New(2, 4, 8)
+	a := New(2, 8)
+	b := New(2, 8)
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -150,34 +151,37 @@ func TestNestedHMCS(t *testing.T) {
 	}
 }
 
-// TestTryLockLeavesQueuedTombstoneAlone pins the timed-abandonment
-// hang: a thread whose timed acquire abandoned its leaf node leaves the
-// node linked in the socket queue until a release walk retires it. A
-// TryLock through the same nesting slot must fail fast without touching
-// that node — clearing its next link cuts the queue behind it, so the
-// holder's release walk stops at the tombstone, spins forever waiting
-// for a successor link that was already published, and the waiter
-// behind it never wakes.
+// TestTryLockLeavesQueuedTombstoneAlone: a thread whose timed acquire
+// abandoned its leaf node leaves the node linked in the socket queue
+// until a release walk passes it, and takes a fresh node for the depth.
+// Its next acquisition through that depth, a TryLock, must leave the
+// tombstone alone: clearing the tombstone's next link would cut the
+// queue behind it, so the holder's release walk would stop at the
+// tombstone, spin forever waiting for a successor link that was already
+// published, and the waiter behind it would never wake.
 func TestTryLockLeavesQueuedTombstoneAlone(t *testing.T) {
-	lock := New(1, 3, DefaultThreshold)
+	lock := New(1, DefaultThreshold)
 	holder, timed, waiter := locks.NewThread(0, 0), locks.NewThread(1, 0), locks.NewThread(2, 0)
 	lock.Lock(holder)
 
+	tomb := timed.Node(0)
 	if lock.LockTimeout(timed, time.Millisecond) {
 		t.Fatal("LockTimeout succeeded on a held lock")
 	}
-	tomb := &lock.nodes[timed.ID][0]
-	if got := tomb.tstate.Load(); got != tsAbandoned {
-		t.Fatalf("timed-out node tstate = %d, want tsAbandoned", got)
+	if got := tomb.TState.Load(); got != locks.TSAbandoned {
+		t.Fatalf("timed-out node TState = %d, want TSAbandoned", got)
+	}
+	if timed.Node(0) == tomb {
+		t.Fatal("the expired waiter kept its queued node for the depth")
 	}
 
+	behind := waiter.Node(0)
 	acquired := make(chan struct{})
 	go func() {
 		lock.Lock(waiter)
 		close(acquired)
 	}()
-	behind := &lock.nodes[waiter.ID][0]
-	for tomb.next.Load() != behind {
+	for tomb.Next.Load() != behind {
 		runtime.Gosched() // until the waiter has linked in behind the tombstone
 	}
 
@@ -187,7 +191,7 @@ func TestTryLockLeavesQueuedTombstoneAlone(t *testing.T) {
 	if timed.Depth() != 0 {
 		t.Fatalf("failed TryLock left nesting depth %d", timed.Depth())
 	}
-	if tomb.next.Load() != behind {
+	if tomb.Next.Load() != behind {
 		t.Fatal("TryLock rewrote the queued tombstone's next link")
 	}
 
@@ -198,11 +202,56 @@ func TestTryLockLeavesQueuedTombstoneAlone(t *testing.T) {
 		t.Fatal("waiter behind the tombstone never acquired the lock")
 	}
 	lock.Unlock(waiter)
-	if got := tomb.tstate.Load(); got != tsClean {
-		t.Fatalf("tombstone tstate = %d after the release walk, want tsClean", got)
-	}
 	if !lock.TryLock(timed) {
-		t.Fatal("TryLock failed on a free lock after the tombstone was retired")
+		t.Fatal("TryLock failed on a free lock after the release walk passed the tombstone")
+	}
+	lock.Unlock(timed)
+}
+
+// TestRootTombstoneIsSkipped: a socket's representative whose timed
+// root wait expires leaves the leaf's root node queued in the root queue
+// as a tombstone, installs a fresh root node in the leaf and only then
+// releases the leaf. The socket's next representative queues the fresh
+// node behind the tombstone, and the root holder's release walk must
+// skip the tombstone and reach it.
+func TestRootTombstoneIsSkipped(t *testing.T) {
+	lock := New(2, DefaultThreshold)
+	holder, timed, next := locks.NewThread(0, 1), locks.NewThread(1, 0), locks.NewThread(2, 0)
+	lock.Lock(holder)
+
+	leaf0 := lock.leaves[0]
+	tomb := leaf0.root
+	if lock.LockTimeout(timed, time.Millisecond) {
+		t.Fatal("LockTimeout succeeded on a held lock")
+	}
+	if timed.Depth() != 0 {
+		t.Fatalf("expired LockTimeout left nesting depth %d", timed.Depth())
+	}
+	fresh := leaf0.root
+	if fresh == tomb {
+		t.Fatal("the expired representative left its abandoned root node in the leaf")
+	}
+	if got := tomb.TState.Load(); got != locks.TSAbandoned {
+		t.Fatalf("root tombstone TState = %d, want TSAbandoned", got)
+	}
+
+	acquired := make(chan struct{})
+	go func() {
+		lock.Lock(next)
+		close(acquired)
+	}()
+	for tomb.Next.Load() != fresh {
+		runtime.Gosched() // until socket 0's new representative queued behind the tombstone
+	}
+	lock.Unlock(holder)
+	select {
+	case <-acquired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the root release walk never reached the representative behind the tombstone")
+	}
+	lock.Unlock(next)
+	if !lock.TryLock(timed) {
+		t.Fatal("TryLock failed on a free lock")
 	}
 	lock.Unlock(timed)
 }

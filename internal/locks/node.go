@@ -8,16 +8,19 @@ import (
 	"repro/internal/waiter"
 )
 
-// Node is the queue node of the MCS-family locks: MCS, MCSCR and CNA
-// (internal/core). Nodes belong to threads, not to locks: a Thread
-// holds one per nesting depth, reuses it across acquisitions, and
-// carries it (implicitly, via the depth) from Lock to Unlock. A node is
-// exactly one cache line (asserted in node_test.go): cf. the paper's
-// cna_node_t {spin, socket, secTail, next}.
+// Node is the queue node of the MCS-family locks: MCS, MCSCR, CNA
+// (internal/core), HMCS's leaves and the cohort MCS locals. Nodes
+// belong to threads, not to locks: a Thread holds one per nesting depth,
+// reuses it across acquisitions, and carries it (implicitly, via the
+// depth) from Lock to Unlock. A node is exactly one cache line (asserted
+// in node_test.go): cf. the paper's cna_node_t {spin, socket, secTail,
+// next}.
 type Node struct {
 	// Spin is the word the owner waits on: nil while it waits, non-nil
 	// once a releaser granted it the lock. MCS grants a sentinel; CNA
-	// also passes its secondary queue's head in it (see internal/core).
+	// also passes its secondary queue's head in it (see internal/core);
+	// HMCS and the cohort locals grant one of two sentinels that say
+	// whether the composite lock came with the grant.
 	Spin atomic.Pointer[Node]
 	// Socket is the owner's NUMA node as CNA records it, or -1 when the
 	// owner entered an empty queue and never looked it up. MCS and MCSCR
@@ -46,16 +49,22 @@ func (n *Node) init() *Node {
 	return n
 }
 
+// NewNode returns a fresh node with its grant predicate built, for a
+// lock that queues a node no thread carries (HMCS's per-socket root
+// nodes).
+func NewNode() *Node { return new(Node).init() }
+
 // The timed-acquisition ("TState") protocol, Scott-&-Scherer-style. A
 // timed waiter arms its node before the tail swap publishes it; from
 // then on the node's fate is decided by a single CAS race between the
 // granting releaser (TSArmed → TSGranted, then the normal grant store;
 // see Grant) and the timed-out waiter (TSArmed → TSAbandoned, then it
-// leaves; see Thread.Expire). A releaser that finds TSAbandoned skips
+// leaves; see Node.Abandon). A releaser that finds TSAbandoned skips
 // the node, reading its next link or emptying the queue with the usual
 // tail CAS when it is last. The abandoned node stays behind as a
 // tombstone and is garbage once a release walk has passed it: its owner
-// took a fresh node for that depth when it left, so no acquisition, of
+// took a fresh node when it left (a thread for that depth, see
+// Thread.Expire; HMCS for a socket's root node), so no acquisition, of
 // this lock or any other, ever waits for a tombstone to leave a queue.
 // A waiter that loses the race has the lock: it accepts the
 // at-the-buzzer grant and reports success. Untimed waiters keep TState
@@ -105,21 +114,32 @@ func (n *Node) AwaitNext() *Node {
 	return next
 }
 
-// Expire settles a timed wait on n, the node at t's top nesting depth,
-// whose deadline passed before a grant was seen. If the waiter wins the
-// race (TSArmed → TSAbandoned), n stays queued as a tombstone, t gives
-// the depth back and takes a freshly allocated node for it, and Expire
-// returns false. Otherwise a releaser committed the grant: Expire waits
-// for the grant store and returns true, and the caller holds the lock
-// (and disarms n, as after any timed grant).
-func (t *Thread) Expire(n *Node) bool {
+// Abandon settles a timed wait on the armed node n whose deadline
+// passed before a grant was seen. If the waiter wins the race (TSArmed →
+// TSAbandoned), n stays queued as a tombstone that release walks skip,
+// its owner must never queue it again, and Abandon returns true.
+// Otherwise a releaser committed the grant: Abandon waits for the grant
+// store and returns false, and the caller holds the lock (and disarms n,
+// as after any timed grant).
+func (n *Node) Abandon() bool {
 	if n.TState.CompareAndSwap(TSArmed, TSAbandoned) {
-		t.nodes[t.ReleaseSlot()] = new(Node).init()
-		return false
+		return true
 	}
 	var s spinwait.Spinner
 	for !n.Ready() {
 		s.Pause()
+	}
+	return false
+}
+
+// Expire settles a timed wait on n, the node at t's top nesting depth,
+// as Abandon does. If the waiter wins, t gives the depth back and takes
+// a fresh node for it, and Expire returns false; if a releaser won, the
+// caller holds the lock and Expire returns true.
+func (t *Thread) Expire(n *Node) bool {
+	if n.Abandon() {
+		t.nodes[t.ReleaseSlot()] = NewNode()
+		return false
 	}
 	return true
 }

@@ -15,9 +15,10 @@ import (
 //     so a timed-out waiter simply stops retrying.
 //   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS,
 //     qspin) run a Scott-&-Scherer-style abandonment protocol: the
-//     timed waiter marks its node abandoned, the handover path detects
-//     the mark and skips the node, and the node is retired back to its
-//     owner afterwards — no lost grant, no ghost critical section.
+//     timed waiter marks its node abandoned, and the handover path
+//     detects the mark and skips the node — no lost grant, no ghost
+//     critical section. The waiter takes a fresh node (see
+//     Node.Abandon); only CLH and qspin recycle the tombstone itself.
 //   - FIFO counter locks (TKT, PTL) cannot abandon a drawn ticket
 //     without wedging the grant sequence, so their timed acquire is a
 //     deadline-bounded TryLock poll: strictly weaker fairness than
