@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"unsafe"
 
@@ -59,4 +60,7 @@ func main() {
 		st.FastPath.Load(), st.PendingPath.Load(), st.SlowPath.Load())
 	fmt.Printf("queue handovers: %d local / %d remote\n",
 		st.LocalHandover.Load(), st.RemoteHandover.Load())
+	if total != workers*50000 {
+		os.Exit(1)
+	}
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"repro"
@@ -58,4 +59,7 @@ func main() {
 
 	fmt.Printf("%s: counter = %d (want %d)\n", lock.Name(), counter, workers*itersPerWorker)
 	fmt.Printf("TryLock probes skipped on contention: %d of %d\n", skipped, workers)
+	if counter != workers*itersPerWorker {
+		os.Exit(1)
+	}
 }

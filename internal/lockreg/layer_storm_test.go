@@ -46,6 +46,13 @@ func TestGCRConformanceStorm(t *testing.T) {
 // name ends in suffix, built with opts, and then checks the lock is
 // free to a TryLock: no stuck lock bit, no bar an expired fissile
 // alpha failed to withdraw, no admission a GCR expiry left behind.
+//
+// Worker 0 (a Lock worker) acquires before the start barrier opens,
+// and on that acquisition and every 64th one it holds the lock until a
+// new positive-deadline expiry is counted or no timed worker is still
+// running. A timed worker's second iteration is a 1µs LockTimeout, so
+// it meets the held lock and expires; a spec with no such expiry fails.
+// A zero-deadline miss is a TryLock miss and does not count.
 func layerStorm(t *testing.T, suffix string, opts ...Option) {
 	ran := 0
 	for _, spec := range All() {
@@ -64,12 +71,21 @@ func layerStorm(t *testing.T, suffix string, opts ...Option) {
 			var counter int64 // protected by m; non-atomic on purpose
 			var acquired atomic.Int64
 			var expiries atomic.Int64
+			var timedLive atomic.Int32 // timed workers still running
+			timedLive.Store(workers / 3)
+			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					if w%3 == 2 {
+						defer timedLive.Add(-1)
+					}
 					th := ths[w]
+					if w != 0 {
+						<-start
+					}
 					for i := 0; i < iters; i++ {
 						switch w % 3 {
 						case 0:
@@ -81,17 +97,31 @@ func layerStorm(t *testing.T, suffix string, opts ...Option) {
 						default: // jittered timed acquire, expiry expected
 							d := time.Duration(i%7) * time.Microsecond
 							if !m.LockTimeout(th, d) {
-								expiries.Add(1)
+								if d > 0 {
+									expiries.Add(1)
+								}
 								continue
 							}
 						}
 						counter++
 						acquired.Add(1)
+						if w == 0 && i%64 == 0 {
+							if i == 0 {
+								close(start)
+							}
+							for seen := expiries.Load(); expiries.Load() == seen && timedLive.Load() > 0; {
+								runtime.Gosched()
+							}
+						}
 						m.Unlock(th)
 					}
 				}(w)
 			}
 			wg.Wait()
+			t.Logf("%s: %d acquisitions, %d positive-deadline expiries", spec.Name, acquired.Load(), expiries.Load())
+			if expiries.Load() == 0 {
+				t.Errorf("%s: no positive-deadline LockTimeout expired: the storm never exercised abandonment", spec.Name)
+			}
 			if counter != acquired.Load() {
 				t.Fatalf("%s: counter = %d, acquisitions = %d (mutual exclusion violated)",
 					spec.Name, counter, acquired.Load())
@@ -100,7 +130,6 @@ func layerStorm(t *testing.T, suffix string, opts ...Option) {
 				t.Fatalf("%s: lock not free after quiescence", spec.Name)
 			}
 			m.Unlock(ths[0])
-			t.Logf("%s: %d acquisitions, %d timed expiries", spec.Name, acquired.Load(), expiries.Load())
 		})
 	}
 	if ran == 0 {

@@ -416,12 +416,8 @@ func init() {
 		Aliases:     []string{"malthusian"},
 		Description: "Malthusian MCS: culls excess waiters to a passive list (Dice 2017)",
 		build: func(env Env, c config) locks.TimedMutex {
-			m := locks.NewMalthusian(c.minActiveOr(locks.DefaultMalthusianMinActive),
+			return locks.NewMalthusian(c.minActiveOr(locks.DefaultMalthusianMinActive),
 				c.thresholdOr(locks.DefaultMalthusianReviveMask))
-			if c.passivationDelaySet {
-				m.SetPassivationDelay(c.passivationDelay)
-			}
-			return m
 		},
 	})
 	register(Spec{

@@ -45,9 +45,6 @@ type config struct {
 
 	rotateEverySet bool
 	rotateEvery    int // GCR rotation period in departures
-
-	passivationDelaySet bool
-	passivationDelay    int // MCSCR cull hysteresis (eligible releases before culling)
 }
 
 // Option tunes one policy knob; see the With* constructors.
@@ -173,17 +170,6 @@ func WithActiveSet(n int) Option {
 // gcr.DefaultRotateEvery. Non-CR specs ignore the option.
 func WithRotateEvery(n int) Option {
 	return func(c *config) { c.rotateEverySet = true; c.rotateEvery = n }
-}
-
-// WithPassivationDelay sets the Malthusian lock's cull hysteresis: the
-// number of consecutive cull-eligible releases the holder must observe
-// before it actually moves a waiter to the passive list. 0 (the
-// default) culls on the first eligible release — the original
-// Malthusian behaviour; larger values make passivation reluctant, so
-// short contention bursts pass through without long-term demotions.
-// Specs without a Malthusian layer ignore the option.
-func WithPassivationDelay(n int) Option {
-	return func(c *config) { c.passivationDelaySet = true; c.passivationDelay = n }
 }
 
 // WithStats toggles holder-side statistics collection (handover

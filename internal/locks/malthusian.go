@@ -47,15 +47,6 @@ type Malthusian struct {
 	reviveMask uint64
 	minActive  int
 
-	// passivationDelay is how many consecutive cull-eligible releases
-	// must pass before culling engages (0 — the default — culls at the
-	// first eligible release, the original behaviour). A positive delay
-	// rides out contention bursts shorter than the delay without parking
-	// anyone; cullStreak is the holder-only counter behind it, reset
-	// whenever a release finds the queue back under the floor.
-	passivationDelay int
-	cullStreak       int
-
 	stats struct {
 		culled, revived uint64
 	}
@@ -88,16 +79,6 @@ func DefaultMalthusian() *Malthusian {
 
 // SetWait implements waiter.Setter. Call before the lock is shared.
 func (l *Malthusian) SetWait(p waiter.Policy) { l.wait = p }
-
-// SetPassivationDelay sets how many consecutive cull-eligible releases
-// must pass before culling engages; negative values are treated as 0.
-// Like every policy setter, call it before the lock is shared.
-func (l *Malthusian) SetPassivationDelay(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.passivationDelay = n
-}
 
 // Lock is plain MCS acquisition; culling happens on the unlock side. A
 // culled thread never leaves this wait — its node moves to the passive
@@ -234,18 +215,11 @@ func (l *Malthusian) releaseFrom(n *Node) {
 		// node is stable (arming happens before enqueue), so the gate
 		// cannot race the waiter's own timeout.
 		if nn := next.Next.Load(); nn != nil && next.TState.Load() == TSClean && l.activeEstimate(next) > l.minActive {
-			// The passivation delay gates the cull on sustained pressure:
-			// only after passivationDelay consecutive eligible releases
-			// does the queue actually shed a waiter.
-			if l.cullStreak++; l.cullStreak > l.passivationDelay {
-				next.Next.Store(l.passiveHead)
-				l.passiveHead = next
-				l.passiveLen++
-				l.stats.culled++
-				next = nn
-			}
-		} else {
-			l.cullStreak = 0
+			next.Next.Store(l.passiveHead)
+			l.passiveHead = next
+			l.passiveLen++
+			l.stats.culled++
+			next = nn
 		}
 		if next.Grant(l.wait, granted) {
 			return

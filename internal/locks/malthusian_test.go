@@ -172,7 +172,7 @@ func waitParked(t *testing.T, what string, cond func() bool) {
 // empties the queue, which must revive B.
 func TestMalthusianPassiveWaitersPark(t *testing.T) {
 	l := NewMalthusian(1, ^uint64(0))
-	l.SetWait(waiter.SpinThenPark{Yields: -1}) // park right after the busy budget
+	l.SetWait(waiter.SpinThenPark{}) // parks right after the busy budget
 
 	thA, thB, thC := NewThread(0, 0), NewThread(1, 1), NewThread(2, 0)
 	nodeB, nodeC := thB.Node(0), thC.Node(0)

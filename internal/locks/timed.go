@@ -13,12 +13,12 @@ import (
 //
 //   - Flat spin locks (TAS, TTAS, BO-TAS, HBO) hold no queue position,
 //     so a timed-out waiter simply stops retrying.
-//   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS,
-//     qspin) run a Scott-&-Scherer-style abandonment protocol: the
-//     timed waiter marks its node abandoned, and the handover path
-//     detects the mark and skips the node — no lost grant, no ghost
-//     critical section. The waiter takes a fresh node (see
-//     Node.Abandon); only CLH and qspin recycle the tombstone itself.
+//   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS)
+//     run a Scott-&-Scherer-style abandonment protocol: the timed
+//     waiter marks its node abandoned, and the handover path detects
+//     the mark and skips the node — no lost grant, no ghost critical
+//     section. The waiter takes a fresh node (see Node.Abandon); only
+//     CLH recycles the tombstone itself.
 //   - FIFO counter locks (TKT, PTL) cannot abandon a drawn ticket
 //     without wedging the grant sequence, so their timed acquire is a
 //     deadline-bounded TryLock poll: strictly weaker fairness than

@@ -25,6 +25,13 @@
 // The lock word layout, fast path, pending path and unlock are identical
 // under both policies.
 //
+// There is one slow path, as in the kernel: queued_spin_lock_slowpath
+// has no timed form, so a waiter that enters the queue stays until it
+// is granted the head role, and queue waiters spin (kernel spinlocks
+// are taken in contexts that may not sleep). Callers that need
+// deadlines or parked waiters use the user-space locks in
+// internal/locks.
+//
 // One structural difference from user-space CNA, inherited from the
 // kernel patch: release never touches nodes, so the CNA successor scan
 // runs when a thread that just acquired the lock promotes the next queue
@@ -35,12 +42,10 @@ package qspin
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/numa"
 	"repro/internal/prng"
 	"repro/internal/spinwait"
-	"repro/internal/waiter"
 )
 
 // Lock-word layout constants (mirroring the kernel's _Q_* values).
@@ -97,67 +102,24 @@ func (p Policy) String() string {
 	return "stock"
 }
 
-// Timed-acquisition node states, the same Scott-&-Scherer-style
-// protocol the user-space queue locks use (see the tsClean constant
-// block in internal/locks/mcs.go). A timed waiter arms its node before
-// the tail exchange publishes it, so a queued tsClean node can never
-// become armed — "timed-ness" of a queued node is stable. The timeout
-// race against a concurrent promotion is decided by one CAS on the
-// node's tstate: tsArmed → tsAbandoned (the waiter leaves, the node
-// stays queued as a tombstone) versus tsArmed → tsGranted (the promoter
-// committed the head role first; the waiter accepts at the buzzer).
-// Walks skip tombstones and retire them (→ tsClean) once their links
-// are read; the per-CPU nesting scheme reuses a node only once it is
-// back to tsClean.
-const (
-	tsClean     uint32 = iota // not a timed waiter / reusable
-	tsArmed                   // timed waiter enqueued, may still abandon
-	tsAbandoned               // waiter left; walks skip and retire
-	tsGranted                 // promoter committed the head role
-)
-
-// qnode is one per-CPU queue node. The spin field multiplexes the wait
-// flag and the CNA secondary-queue head: 0 = waiting, 1 = promoted to
-// queue head with empty secondary queue, >= 4 = promoted, value is the
-// tail-encoding of the secondary queue's head (encodings are always >= 4
-// because cpu+1 >= 1 is shifted left by 2). This mirrors the kernel CNA
-// patch, which smuggles a pointer through the node's locked field; an
-// encoding keeps the trick garbage-collector-safe in Go.
+// qnode is one per-CPU queue node. Its waiter spins until its
+// predecessor grants it the queue-head role with one store to the spin
+// field, as in the kernel: there is no timed wait, so a queued node
+// never leaves early and a promotion never meets one it must skip.
+//
+// The spin field multiplexes the wait flag and the CNA secondary-queue
+// head: 0 = waiting, 1 = promoted to queue head with empty secondary
+// queue, >= 4 = promoted, value is the tail-encoding of the secondary
+// queue's head (encodings are always >= 4 because cpu+1 >= 1 is shifted
+// left by 2). This mirrors the kernel CNA patch, which smuggles a
+// pointer through the node's locked field; an encoding keeps the trick
+// garbage-collector-safe in Go.
 type qnode struct {
 	spin    atomic.Uint32
 	next    atomic.Pointer[qnode]
 	secTail atomic.Pointer[qnode]
 	socket  int32
 	enc     uint32 // this node's own tail encoding (constant after init)
-	// tstate is the timed-acquisition state machine (see the tsClean
-	// constant block). Always tsClean outside LockTimeout's queue path.
-	tstate atomic.Uint32
-	// wait/ready are the pluggable waiting substrate for the MCS-queue
-	// wait (the only wait in the slow path with a defined waker — the
-	// promoting predecessor). The lock-word waits below have no waker
-	// (release is a plain byte clear, as in the kernel) and always spin.
-	wait  waiter.State
-	ready func() bool
-}
-
-// awaitReusable spins until a tombstone left by an earlier timeout has
-// been retired by a walk. Bounded: every tombstone sits ahead of a head
-// whose exit path (promotion, tail clear, or head-exit) retires it.
-func (n *qnode) awaitReusable() {
-	var s spinwait.Spinner
-	for n.tstate.Load() != tsClean {
-		s.Pause()
-	}
-}
-
-// retireIfAbandoned returns a skipped tombstone to its owner. Callers
-// must be done reading the node's links: the owner may re-enqueue it
-// the moment tstate returns to tsClean. On an untimed node this is one
-// load of a line the caller just read anyway.
-func (n *qnode) retireIfAbandoned() {
-	if n.tstate.Load() == tsAbandoned {
-		n.tstate.Store(tsClean)
-	}
 }
 
 // Stats aggregates slow-path behaviour across all locks of a domain.
@@ -180,7 +142,6 @@ type Stats struct {
 // qnodes array.
 type Domain struct {
 	policy Policy
-	wait   waiter.Policy // queue-wait policy; read-only once shared
 	nodes  [][maxNesting]qnode
 	count  []int32 // per-CPU nesting depth; each CPU is single-threaded
 	socket []int32 // cpu → NUMA node
@@ -195,7 +156,6 @@ func NewDomain(topo numa.Topology, policy Policy) *Domain {
 	ncpu := topo.NumCPUs()
 	d := &Domain{
 		policy:        policy,
-		wait:          waiter.Default,
 		nodes:         make([][maxNesting]qnode, ncpu),
 		count:         make([]int32, ncpu),
 		socket:        make([]int32, ncpu),
@@ -206,9 +166,7 @@ func NewDomain(topo numa.Topology, policy Policy) *Domain {
 		d.socket[cpu] = int32(topo.SocketOf(cpu))
 		d.rng[cpu].Seed(uint64(cpu)*0x9e3779b97f4a7c15 + 1)
 		for idx := 0; idx < maxNesting; idx++ {
-			n := &d.nodes[cpu][idx]
-			n.enc = encode(cpu, idx)
-			n.ready = func() bool { return n.spin.Load() != 0 }
+			d.nodes[cpu][idx].enc = encode(cpu, idx)
 		}
 	}
 	return d
@@ -216,10 +174,6 @@ func NewDomain(topo numa.Topology, policy Policy) *Domain {
 
 // SetKeepLocalMask overrides CNA's fairness threshold (tests/ablations).
 func (d *Domain) SetKeepLocalMask(mask uint64) { d.keepLocalMask = mask }
-
-// SetWait implements waiter.Setter for the MCS-queue portion of the
-// slow path. Call before the domain is shared.
-func (d *Domain) SetWait(p waiter.Policy) { d.wait = p }
 
 // Policy returns the domain's slow-path policy.
 func (d *Domain) Policy() Policy { return d.policy }
@@ -327,7 +281,6 @@ func (d *Domain) queue(l *SpinLock, cpu int) {
 	}
 	d.count[cpu]++
 	node := &d.nodes[cpu][idx]
-	node.awaitReusable() // tombstone from an earlier timeout, if any
 	node.spin.Store(0)
 	node.next.Store(nil)
 	node.socket = d.socket[cpu]
@@ -335,11 +288,14 @@ func (d *Domain) queue(l *SpinLock, cpu int) {
 	// Publish ourselves as the tail.
 	old := d.xchgTail(l, node.enc)
 	if old&tailMask != 0 {
-		// Link behind the previous tail and wait to reach the queue head.
+		// Link behind the previous tail and spin until promoted to the
+		// queue head.
 		prev := d.decode(old >> tailShift)
-		d.wait.Prepare(&node.wait)
 		prev.next.Store(node)
-		d.wait.Wait(&node.wait, node.ready)
+		var s spinwait.Spinner
+		for node.spin.Load() == 0 {
+			s.Pause()
+		}
 	} else {
 		// We entered an empty queue: mark the spin word so the CNA
 		// handoff logic knows the secondary queue is empty (paper line 8).
@@ -375,7 +331,7 @@ func (d *Domain) queue(l *SpinLock, cpu int) {
 		sl.Pause()
 		next = node.next.Load()
 	}
-	d.promote(l, node, next, cpu)
+	d.promote(node, next, cpu)
 	d.count[cpu]--
 	if st := d.stats; st != nil {
 		st.SlowPath.Add(1)
@@ -414,144 +370,55 @@ func (d *Domain) tryClearTail(l *SpinLock, node *qnode) bool {
 		if st := d.stats; st != nil {
 			st.Flushes.Add(1)
 		}
-		d.recordHandover(node, secHead)
-		// Secondary-queue nodes are never timed (findSuccessor stops its
-		// scan at timed waiters instead of moving them), so this handover
-		// needs no tstate decision.
-		secHead.spin.Store(1)
-		d.wait.Wake(&secHead.wait)
+		d.grant(node, secHead, 1)
 		return true
 	}
 	return false
 }
 
-// grantQ commits the queue-head role to target with spin value sp
-// unless target abandoned its timed wait (false — the caller must skip
-// the node). For the common untimed node this is exactly the old
-// promotion sequence plus one load of the line the spin store below
-// writes anyway.
-func (d *Domain) grantQ(target *qnode, sp uint32) bool {
-	if target.tstate.Load() != tsClean {
-		if !target.tstate.CompareAndSwap(tsArmed, tsGranted) {
-			return false // tsAbandoned
-		}
-	}
-	target.spin.Store(sp)
-	d.wait.Wake(&target.wait)
-	return true
+// grant hands the queue-head role from the holder's node to succ with
+// one store of sp (1, or the secondary queue's head encoding) to the
+// word succ spins on. The handover is counted first: once the store
+// lands, succ's CPU may reuse the node, so the holder must not read it
+// afterwards.
+func (d *Domain) grant(node, succ *qnode, sp uint32) {
+	d.recordHandover(node, succ)
+	succ.spin.Store(sp)
 }
 
-// unlinkTail removes a queue-tail node the walk wants gone: its
-// encoding is swapped out of the lock word — for the secondary queue's
-// tail when one exists (promoting the secondary head, which is never
-// timed: see findSuccessor), for zero otherwise. The CAS preserves the
-// locked and pending bits, which on the head-exit path belong to other
-// threads. false means another waiter already enqueued behind cur, so
-// cur has (or is about to have) a successor instead.
-func (d *Domain) unlinkTail(l *SpinLock, cur *qnode, sp uint32) bool {
-	for {
-		val := l.val.Load()
-		if val&tailMask != cur.enc<<tailShift {
-			return false
-		}
-		nv := val &^ tailMask
-		if sp > 1 {
-			nv |= d.decode(sp).secTail.Load().enc << tailShift
-		}
-		if !l.val.CompareAndSwap(val, nv) {
-			continue
-		}
-		// The tail no longer names cur; nothing else can reach it.
-		cur.retireIfAbandoned()
-		if sp > 1 {
-			secHead := d.decode(sp)
-			if st := d.stats; st != nil {
-				st.Flushes.Add(1)
-			}
-			secHead.spin.Store(1)
-			d.wait.Wake(&secHead.wait)
-		}
-		return true
-	}
-}
-
-// promote makes the next waiter the new queue head. Stock policy simply
-// wakes the linked successor; CNA picks a same-socket waiter, shuffling
+// promote makes the next waiter the new queue head. Stock policy grants
+// the linked successor, FIFO; CNA picks a same-socket waiter, shuffling
 // skipped nodes onto the secondary queue, with the paper's probabilistic
 // fairness flush. The holder's spin word is loaded once — only the
 // holder writes it, so the local copy (updated by findSuccessor when a
 // moved run starts a fresh secondary queue) stays authoritative.
-//
-// The body is a loop so a grant refused by an abandoned timed waiter
-// continues the walk from that node, retiring the tombstone once its
-// successor link has been read. A tombstone with no linked successor
-// may be the queue tail: unlinkTail then clears its encoding from the
-// lock word (flushing a non-empty secondary queue in its place, as in
-// tryClearTail). The walk also serves the timed head-exit, which hands
-// the head role on without having taken the lock — the lock word's
-// locked and pending bits are never touched here. For an all-untimed
-// queue every grant succeeds on the first attempt and the loop body
-// runs once, matching the pre-timeout promotion instruction for
-// instruction.
-func (d *Domain) promote(l *SpinLock, node, next *qnode, cpu int) {
+func (d *Domain) promote(node, next *qnode, cpu int) {
+	if d.policy == PolicyStock {
+		d.grant(node, next, 1)
+		return
+	}
 	sp := node.spin.Load()
-	cur := next
-	for {
-		if d.policy == PolicyStock {
-			if d.grantQ(cur, 1) {
-				return
-			}
-		} else {
-			var succ *qnode
-			if d.keepLockLocal(cpu) {
-				succ, sp = d.findSuccessor(node, cur, sp, cpu)
-			}
-			switch {
-			case succ != nil:
-				// Hand over on-socket (or to a timed waiter the scan
-				// stopped at), forwarding 1 or the secondary head's
-				// encoding in the successor's spin field.
-				if d.grantQ(succ, sp) {
-					d.recordHandover(node, succ)
-					return
-				}
-				cur = succ
-			case sp > 1:
-				// Fairness (or no same-socket waiter): splice the
-				// secondary queue in front of the main-queue successor and
-				// promote its head (never timed — see findSuccessor).
-				secHead := d.decode(sp)
-				secHead.secTail.Load().next.Store(cur)
-				if st := d.stats; st != nil {
-					st.Flushes.Add(1)
-				}
-				sp = 1 // fully spliced: one main queue again
-				if d.grantQ(secHead, 1) {
-					d.recordHandover(node, secHead)
-					return
-				}
-				cur = secHead
-			default:
-				if d.grantQ(cur, 1) {
-					d.recordHandover(node, cur)
-					return
-				}
-			}
+	var succ *qnode
+	if d.keepLockLocal(cpu) {
+		succ, sp = d.findSuccessor(next, sp, cpu)
+	}
+	switch {
+	case succ != nil:
+		// Hand over on-socket, forwarding 1 or the secondary head's
+		// encoding in the successor's spin field.
+		d.grant(node, succ, sp)
+	case sp > 1:
+		// Fairness (or no same-socket waiter): splice the secondary
+		// queue in front of the main-queue successor and promote its
+		// head.
+		secHead := d.decode(sp)
+		secHead.secTail.Load().next.Store(next)
+		if st := d.stats; st != nil {
+			st.Flushes.Add(1)
 		}
-		// cur abandoned: skip it. No linked successor means it may be the
-		// queue tail; otherwise wait out the enqueue-to-link window.
-		nxt := cur.next.Load()
-		if nxt == nil {
-			if d.unlinkTail(l, cur, sp) {
-				return
-			}
-			var s spinwait.Spinner
-			for nxt = cur.next.Load(); nxt == nil; nxt = cur.next.Load() {
-				s.Pause()
-			}
-		}
-		cur.retireIfAbandoned()
-		cur = nxt
+		d.grant(node, secHead, 1)
+	default:
+		d.grant(node, next, 1)
 	}
 }
 
@@ -568,16 +435,9 @@ func (d *Domain) keepLockLocal(cpu int) bool {
 // so the caller never re-reads the spin word, and the holder's own spin
 // word is not rewritten — ownership of the secondary queue travels to
 // the successor via the returned value.
-//
-// A timed waiter terminates the scan exactly like a same-socket one —
-// it is returned as the successor rather than moved — which is the
-// invariant keeping the secondary queue free of timed nodes (see the
-// tsClean constant block). The NUMA policy concedes one off-socket
-// handover for it; the promote walk skips it in O(1) if it already
-// abandoned.
-func (d *Domain) findSuccessor(node, next *qnode, sp uint32, cpu int) (*qnode, uint32) {
+func (d *Domain) findSuccessor(next *qnode, sp uint32, cpu int) (*qnode, uint32) {
 	mySocket := d.socket[cpu]
-	if next.socket == mySocket || next.tstate.Load() != tsClean {
+	if next.socket == mySocket {
 		return next, sp
 	}
 	secHead := next
@@ -585,7 +445,7 @@ func (d *Domain) findSuccessor(node, next *qnode, sp uint32, cpu int) (*qnode, u
 	cur := next.next.Load()
 	moved := uint64(1)
 	for cur != nil {
-		if cur.socket == mySocket || cur.tstate.Load() != tsClean {
+		if cur.socket == mySocket {
 			if sp > 1 {
 				d.decode(sp).secTail.Load().next.Store(secHead)
 			} else {
@@ -603,178 +463,6 @@ func (d *Domain) findSuccessor(node, next *qnode, sp uint32, cpu int) (*qnode, u
 		cur = cur.next.Load()
 	}
 	return nil, sp
-}
-
-// LockTimeout attempts to acquire l on behalf of cpu, giving up once
-// the timeout elapses. false means expiry, with no trace left in the
-// lock word or the queue: a pending-path waiter subtracts its pending
-// bit back out; a queued waiter abandons through the tstate protocol
-// (self-unlinking via unlinkTail when it is the tail, leaving a
-// tombstone the next walk retires otherwise); a waiter that reached the
-// queue head exits the head position, handing the role to its successor
-// without taking the lock. A non-positive timeout degrades to TryLock.
-// The rare case where this CPU's nesting node is still a tombstone from
-// an earlier timeout also fails fast rather than blocking.
-func (d *Domain) LockTimeout(l *SpinLock, cpu int, timeout time.Duration) bool {
-	if timeout <= 0 {
-		return d.TryLock(l, cpu)
-	}
-	if l.val.CompareAndSwap(0, lockedVal) {
-		if st := d.stats; st != nil {
-			st.FastPath.Add(1)
-		}
-		return true
-	}
-	deadline := time.Now().Add(timeout)
-	// Pending path, deadline-checked. The clock probes are amortized
-	// (every 64th iteration) as in locks.PollTimeout.
-	for n := 0; ; n++ {
-		val := l.val.Load()
-		if val == 0 {
-			if l.val.CompareAndSwap(0, lockedVal) {
-				if st := d.stats; st != nil {
-					st.FastPath.Add(1)
-				}
-				return true
-			}
-			continue
-		}
-		if val&^lockedMask != 0 {
-			break // pending or tail set: real contention, go queue
-		}
-		if l.val.CompareAndSwap(val, val|pendingBit) {
-			// We own the pending bit; wait for the holder with the
-			// deadline. Nobody else touches the bit while we hold it, so
-			// the expiry path gives it back with a plain subtract.
-			var s spinwait.Spinner
-			for m := 0; l.val.Load()&lockedMask != 0; m++ {
-				if (s.Yielding() || m%64 == 0) && !time.Now().Before(deadline) {
-					l.val.Add(^pendingBit + 1)
-					return false
-				}
-				s.Pause()
-			}
-			l.val.Add(lockedVal + ^pendingBit + 1)
-			if st := d.stats; st != nil {
-				st.PendingPath.Add(1)
-			}
-			return true
-		}
-		if n%64 == 0 && !time.Now().Before(deadline) {
-			return false
-		}
-	}
-	return d.queueTimeout(l, cpu, deadline)
-}
-
-// queueTimeout is the MCS portion of the timed slow path: queue()'s
-// structure with the tstate abandonment protocol spliced into the wait
-// (see the tsClean constant block) and a head-exit on expiry at the
-// front of the queue.
-func (d *Domain) queueTimeout(l *SpinLock, cpu int, deadline time.Time) bool {
-	idx := d.count[cpu]
-	if int(idx) >= maxNesting {
-		panic(fmt.Sprintf("qspin: CPU %d exceeded %d nesting contexts", cpu, maxNesting))
-	}
-	node := &d.nodes[cpu][idx]
-	if node.tstate.Load() != tsClean {
-		return false // still a queued tombstone; fail fast, not block
-	}
-	d.count[cpu]++
-	node.spin.Store(0)
-	node.next.Store(nil)
-	node.socket = d.socket[cpu]
-	// Arm before the tail exchange publishes the node: a queued tsClean
-	// node can then never become armed, which is what lets walks treat
-	// untimed nodes' grants as decision-free.
-	node.tstate.Store(tsArmed)
-
-	old := d.xchgTail(l, node.enc)
-	if old&tailMask != 0 {
-		prev := d.decode(old >> tailShift)
-		d.wait.Prepare(&node.wait)
-		prev.next.Store(node)
-		if !d.wait.WaitUntil(&node.wait, node.ready, deadline) {
-			if node.tstate.CompareAndSwap(tsArmed, tsAbandoned) {
-				// Tombstone left in place; the next walk retires it and
-				// only then does this nesting level become usable again.
-				d.count[cpu]--
-				return false
-			}
-			// tsGranted: a promoter committed the head role first. Accept
-			// at the buzzer — the head phase below gives up in O(1) with
-			// the deadline already behind us.
-			var s spinwait.Spinner
-			for node.spin.Load() == 0 {
-				s.Pause()
-			}
-		}
-	}
-	// We are the queue head: no walk can reach a head node, so the
-	// tstate can return to tsClean now (head-exit, not abandonment, is
-	// the give-up mechanism from here on). An empty-queue entrant was
-	// armed but never linked behind anyone — same reasoning.
-	node.tstate.Store(tsClean)
-	if old&tailMask == 0 {
-		node.spin.Store(1)
-	}
-
-	// Wait for the holder and any pending waiter to go away, with the
-	// deadline; on expiry, exit the head position.
-	var s spinwait.Spinner
-	for n := 0; ; n++ {
-		val := l.val.Load()
-		if val&(lockedMask|pendingBit) == 0 {
-			break
-		}
-		if (s.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
-			d.headExit(l, node, cpu)
-			d.count[cpu]--
-			return false
-		}
-		s.Pause()
-	}
-
-	if d.tryClearTail(l, node) {
-		d.count[cpu]--
-		if st := d.stats; st != nil {
-			st.SlowPath.Add(1)
-		}
-		return true
-	}
-	l.val.Add(lockedVal)
-	var sl spinwait.Spinner
-	next := node.next.Load()
-	for next == nil {
-		sl.Pause()
-		next = node.next.Load()
-	}
-	d.promote(l, node, next, cpu)
-	d.count[cpu]--
-	if st := d.stats; st != nil {
-		st.SlowPath.Add(1)
-	}
-	return true
-}
-
-// headExit abandons the queue-head position without taking the lock.
-// With no successor the head clears its own tail encoding (flushing a
-// non-empty secondary queue in its place) and leaves no trace; with one
-// it runs the ordinary promotion walk, so the new head inherits both
-// the wait for the holder and the secondary queue. The lock word's
-// locked and pending bits belong to other threads throughout.
-func (d *Domain) headExit(l *SpinLock, node *qnode, cpu int) {
-	next := node.next.Load()
-	if next == nil {
-		if d.unlinkTail(l, node, node.spin.Load()) {
-			return
-		}
-		var s spinwait.Spinner
-		for next = node.next.Load(); next == nil; next = node.next.Load() {
-			s.Pause()
-		}
-	}
-	d.promote(l, node, next, cpu)
 }
 
 // recordHandover classifies a queue-head promotion as local or remote.

@@ -1,10 +1,13 @@
 package qspin
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"repro/internal/numa"
@@ -265,19 +268,84 @@ func TestCNAFairnessMaskZeroKeepsFIFO(t *testing.T) {
 	}
 }
 
+// TestCNALocalityBeatsStock builds one queue deterministically and
+// checks the order each policy runs it in and how it counts the
+// handovers. cpu 0 holds the lock and cpu 1 takes the pending bit, so
+// cpus 2 (socket 0), 3 (socket 1) and 4 (socket 0) queue in that
+// order, each seen in the lock word and linked before the next starts.
+// Stock grants FIFO: two remote promotions. CNA's queue head (cpu 2)
+// skips remote cpu 3 for local cpu 4, whose exit flushes cpu 3 back
+// from the secondary queue: one local promotion and one remote.
 func TestCNALocalityBeatsStock(t *testing.T) {
-	frac := func(d *Domain) float64 {
-		l, r := d.stats.LocalHandover.Load(), d.stats.RemoteHandover.Load()
-		if l+r == 0 {
-			return 0
-		}
-		return float64(r) / float64(l+r)
+	cases := []struct {
+		policy        Policy
+		order         []int
+		local, remote uint64
+	}{
+		{PolicyStock, []int{0, 1, 2, 3, 4}, 0, 2},
+		{PolicyCNA, []int{0, 1, 2, 4, 3}, 1, 1},
 	}
-	stock := hammer(t, PolicyStock, numa.TwoSocketXeonE5(), 8, 400)
-	cna := hammer(t, PolicyCNA, numa.TwoSocketXeonE5(), 8, 400)
-	fs, fc := frac(stock), frac(cna)
-	if fs > 0.05 && fc >= fs {
-		t.Errorf("CNA remote handover fraction %.3f not below stock %.3f", fc, fs)
+	for _, c := range cases {
+		t.Run(c.policy.String(), func(t *testing.T) {
+			d := NewDomain(numa.TwoSocketXeonE5(), c.policy)
+			d.EnableStats()
+			var l SpinLock
+			var order []int // appended under l
+			var wg sync.WaitGroup
+			start := func(cpu int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					d.Lock(&l, cpu)
+					order = append(order, cpu)
+					l.Unlock()
+				}()
+			}
+			tail := func(cpu int) bool { return l.Value()>>tailShift == encode(cpu, 0) }
+			linked := func(prev, cpu int) bool {
+				return d.nodes[prev][0].next.Load() == &d.nodes[cpu][0]
+			}
+
+			d.Lock(&l, 0)
+			start(1)
+			waitFor(t, "cpu 1 on the pending bit", func() bool { return l.Value()&pendingBit != 0 })
+			start(2)
+			waitFor(t, "cpu 2 at the queue tail", func() bool { return tail(2) })
+			for cpu := 3; cpu <= 4; cpu++ {
+				start(cpu)
+				waitFor(t, fmt.Sprintf("cpu %d queued behind cpu %d", cpu, cpu-1),
+					func() bool { return tail(cpu) && linked(cpu-1, cpu) })
+			}
+			order = append(order, 0)
+			l.Unlock()
+			wg.Wait()
+
+			if !slices.Equal(order, c.order) {
+				t.Errorf("ran in order %v, want %v", order, c.order)
+			}
+			st := d.Stats()
+			if got, want := st.LocalHandover.Load(), c.local; got != want {
+				t.Errorf("%d local handovers, want %d", got, want)
+			}
+			if got, want := st.RemoteHandover.Load(), c.remote; got != want {
+				t.Errorf("%d remote handovers, want %d", got, want)
+			}
+			if l.Value() != 0 {
+				t.Errorf("lock word %#x at quiescence, want 0", l.Value())
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

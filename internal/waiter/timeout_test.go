@@ -75,7 +75,7 @@ func TestTimeoutVsWakeRegression(t *testing.T) {
 	if testing.Short() {
 		rounds = 80
 	}
-	for _, p := range []Policy{SpinThenPark{Yields: -1}, SpinThenPark{}, Park{}} {
+	for _, p := range []Policy{SpinThenPark{}, Park{}} {
 		var st State
 		for i := 0; i < rounds; i++ {
 			var grant atomic.Bool
@@ -112,7 +112,7 @@ func TestTimeoutVsWakeRegression(t *testing.T) {
 // the node would see a spurious instant wake. White-box: it reads the
 // semaphore directly.
 func TestStateResetOnTimeout(t *testing.T) {
-	for _, p := range []Policy{SpinThenPark{Yields: -1}, Park{}} {
+	for _, p := range []Policy{SpinThenPark{}, Park{}} {
 		var st State
 		// Round 1: park, time out, then let a late Wake race in while the
 		// flag may still be observable.

@@ -1,6 +1,6 @@
-// Package waiter is the pluggable waiting substrate of every queue lock
-// in this repository: the policy that decides what a waiter does between
-// enqueueing and receiving the lock.
+// Package waiter is the pluggable waiting substrate of every user-space
+// queue lock in this repository: the policy that decides what a waiter
+// does between enqueueing and receiving the lock.
 //
 // The CNA paper targets the kernel, where waiters always spin. A
 // user-space deployment with more threads than cores cannot afford that:
@@ -15,7 +15,7 @@
 //     every lock's hot loop via spinwait.Spinner): a short busy burst,
 //     exponentially lengthening bursts, then a scheduler yield per call.
 //     Best when threads ≤ cores and the handover is nanoseconds away.
-//   - SpinThenPark — the same bounded busy/yield budget, then the waiter
+//   - SpinThenPark — the same bounded busy budget, then the waiter
 //     blocks on a per-node binary semaphore until its predecessor wakes
 //     it. This is the production policy for oversubscribed hosts: a
 //     parked waiter consumes no scheduler quanta at all.
@@ -368,14 +368,6 @@ func (Spin) WaitGlobal(dist func() uint32) {
 // Wake implements Policy: spinning waiters need no wakeup.
 func (Spin) Wake(st *State) {}
 
-// DefaultParkYields is how many scheduler yields SpinThenPark inserts
-// between the busy budget and the park. The default is zero — park as
-// soon as the busy budget misses: measurement showed that yields before
-// the park are the worst of both regimes (the waiter keeps taking
-// scheduler turns like a spinner AND pays the wake latency of a
-// parker). The knob remains for experiments.
-const DefaultParkYields = 0
-
 // SpinThenPark's adaptive schedule: after parkFirstAfter consecutive
 // waits that ended in a park, the spin phase is provably not paying for
 // itself (the handover latency exceeds the whole budget every time), so
@@ -388,26 +380,15 @@ const (
 	spinReprobe    = 64
 )
 
-// SpinThenPark spins through the bounded adaptive busy budget, yields a
-// few times, then blocks on the node's semaphore until the predecessor
-// wakes it. The schedule is adaptive per waiter (see parkFirstAfter):
-// waits that keep ending in a park stop paying for the spin phase at
-// all. The zero value uses DefaultParkYields.
-type SpinThenPark struct {
-	// Yields overrides DefaultParkYields when positive; negative means
-	// park straight after the busy budget with no yields.
-	Yields int
-}
-
-func (p SpinThenPark) yields() int {
-	if p.Yields > 0 {
-		return p.Yields
-	}
-	if p.Yields < 0 {
-		return 0 // explicit "no yields", immune to DefaultParkYields changes
-	}
-	return DefaultParkYields
-}
+// SpinThenPark spins through the bounded adaptive busy budget, then
+// blocks on the node's semaphore until the predecessor wakes it. It
+// parks straight after the busy budget, with no scheduler yields in
+// between: measurement showed that yields before the park are the worst
+// of both regimes (the waiter keeps taking scheduler turns like a
+// spinner AND pays the wake latency of a parker). The schedule is
+// adaptive per waiter (see parkFirstAfter): waits that keep ending in a
+// park stop paying for the spin phase at all.
+type SpinThenPark struct{}
 
 // Name implements Policy.
 func (SpinThenPark) Name() string { return "spin-park" }
@@ -418,10 +399,9 @@ func (SpinThenPark) Suffix() string { return locknames.ParkSuffix }
 // Prepare implements Policy.
 func (SpinThenPark) Prepare(st *State) { prepare(st) }
 
-// Wait implements Policy: bounded spin, bounded yields, then park —
-// with the spin phase skipped entirely while recent waits on this node
-// all ended parked.
-func (p SpinThenPark) Wait(st *State, ready func() bool) {
+// Wait implements Policy: bounded spin, then park — with the spin phase
+// skipped entirely while recent waits on this node all ended parked.
+func (SpinThenPark) Wait(st *State, ready func() bool) {
 	streak := st.streak.Load()
 	if streak >= parkFirstAfter {
 		if streak < parkFirstAfter+spinReprobe {
@@ -442,13 +422,6 @@ func (p SpinThenPark) Wait(st *State, ready func() bool) {
 			return
 		}
 		s.Pause()
-	}
-	for i := p.yields(); i > 0; i-- {
-		if ready() {
-			st.streak.Store(0)
-			return
-		}
-		s.Pause() // yielding phase: each Pause is a Gosched
 	}
 	st.streak.Store(streak + 1)
 	st.block(ready)
@@ -532,35 +505,4 @@ func (Park) Wake(st *State) { wake(st) }
 // swapping policies under live traffic is a data race.
 type Setter interface {
 	SetWait(Policy)
-}
-
-// SuffixOf returns p's name suffix, tolerating nil (the default policy).
-func SuffixOf(p Policy) string {
-	if p == nil {
-		return ""
-	}
-	return p.Suffix()
-}
-
-// NameOf returns p's report name, tolerating nil.
-func NameOf(p Policy) string {
-	if p == nil {
-		return Default.Name()
-	}
-	return p.Name()
-}
-
-// ByName resolves a policy's canonical name ("spin", "spin-park",
-// "park", case-sensitive) — the inverse of Policy.Name, used by CLI
-// flags and report readers.
-func ByName(name string) (Policy, bool) {
-	switch name {
-	case "", Spin{}.Name():
-		return Spin{}, true
-	case SpinThenPark{}.Name():
-		return SpinThenPark{}, true
-	case Park{}.Name():
-		return Park{}, true
-	}
-	return nil, false
 }

@@ -29,22 +29,6 @@ func TestNamesAndSuffixes(t *testing.T) {
 		if got := c.p.Suffix(); got != c.suffix {
 			t.Errorf("%T.Suffix() = %q, want %q", c.p, got, c.suffix)
 		}
-		rt, ok := ByName(c.name)
-		if !ok || rt.Name() != c.name {
-			t.Errorf("ByName(%q) = %v, %v; want the policy back", c.name, rt, ok)
-		}
-	}
-	if _, ok := ByName("nonsense"); ok {
-		t.Error("ByName accepted an unknown policy name")
-	}
-	if p, ok := ByName(""); !ok || p.Name() != "spin" {
-		t.Errorf("ByName(\"\") = %v, %v; want the default spin policy", p, ok)
-	}
-	if got := SuffixOf(nil); got != "" {
-		t.Errorf("SuffixOf(nil) = %q, want \"\"", got)
-	}
-	if got := NameOf(nil); got != "spin" {
-		t.Errorf("NameOf(nil) = %q, want \"spin\"", got)
 	}
 }
 
@@ -104,7 +88,7 @@ func TestWakeReleasesParkedWaiter(t *testing.T) {
 // path). A lost wakeup here deadlocks the test; the buffered semaphore
 // plus the flag-and-recheck protocol must make it impossible.
 func TestLostWakeupRegression(t *testing.T) {
-	for _, p := range []Policy{SpinThenPark{Yields: -1}, Park{}} {
+	for _, p := range []Policy{SpinThenPark{}, Park{}} {
 		// Round 1: wake strictly before Wait. The waker sees flag==0 and
 		// posts nothing; Wait's first ready() must observe the grant.
 		var st State
@@ -186,7 +170,7 @@ func TestPingPongHandover(t *testing.T) {
 	if testing.Short() {
 		rounds = 2000
 	}
-	for _, p := range []Policy{SpinThenPark{Yields: -1}, SpinThenPark{}, Park{}} {
+	for _, p := range []Policy{SpinThenPark{}, Park{}} {
 		var a, b State
 		var turn atomic.Int32 // 0: A may run, 1: B may run
 		done := make(chan struct{}, 2)

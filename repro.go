@@ -346,13 +346,6 @@ func WithActiveSet(n int) BuildOption { return lockreg.WithActiveSet(n) }
 // Non-CR locks ignore the option.
 func WithRotateEvery(n int) BuildOption { return lockreg.WithRotateEvery(n) }
 
-// WithPassivationDelay sets the Malthusian lock's (MCSCR) cull
-// hysteresis: how many consecutive cull-eligible releases the holder
-// observes before actually demoting a waiter to the passive list
-// (default 0, cull immediately). Larger values let short contention
-// bursts pass through without long-term demotions.
-func WithPassivationDelay(n int) BuildOption { return lockreg.WithPassivationDelay(n) }
-
 // WithReaderNeutral switches a "-rw" lock from the default writer
 // preference (a waiting writer pauses new reader admission) to
 // reader-neutral admission, where readers pass whenever no writer is
