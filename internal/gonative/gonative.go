@@ -445,7 +445,7 @@ func newMutex(inner locks.TimedMutex, pool *Pool) *Mutex {
 // alone, and an HMCS or C-BO-MCS lock its lock struct and per-socket
 // queues, whatever the pool's capacity. The env's MaxThreads is raised
 // to the pool's capacity, so locks that keep per-thread state of their
-// own (CLH, the RW reader park states) index every slot's thread.
+// own (CLH) index every slot's thread.
 func WrapWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lockreg.Option) *Mutex {
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()

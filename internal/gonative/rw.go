@@ -11,9 +11,9 @@ package gonative
 // the inner lock's anonymous holds (rw.Lock.RTryLockAnon). RLock makes
 // one admission attempt on the indicator stripe the goroutine's stack
 // hint picks — no slot, no Thread — and only a reader that must wait
-// for a writer borrows a slot for its park state, adopting the hold
-// into anonymous form and returning the slot before its critical
-// section runs. RUnlock releases any one anonymous hold.
+// for a writer borrows a slot to wait on its thread's node, adopting
+// the hold into anonymous form and returning the slot before its
+// critical section runs. RUnlock releases any one anonymous hold.
 
 import (
 	"context"

@@ -98,7 +98,7 @@ const (
 type Env struct {
 	// MaxThreads bounds the thread IDs that will use the lock; values
 	// below 1 are treated as 1. Locks that keep per-thread state of their
-	// own (CLH, the RW reader park states) size it by this bound.
+	// own (CLH) size it by this bound.
 	MaxThreads int
 	// Topology is the (virtual) NUMA machine; its socket count sizes the
 	// hierarchical locks. A zero Topology means the paper's primary
@@ -572,7 +572,7 @@ var layers = []layer{
 			if c.rwNeutralSet && c.rwNeutral {
 				ropts = append(ropts, rw.Neutral())
 			}
-			return rw.New(base(env, c), env.Sockets(), env.Threads(), ropts...)
+			return rw.New(base(env, c), env.Sockets(), ropts...)
 		},
 	},
 	{

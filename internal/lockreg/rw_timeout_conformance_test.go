@@ -8,6 +8,7 @@ package lockreg
 // by, the timeout-vs-admission races on either side).
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,30 +94,62 @@ func TestConformanceRWTimeoutExpiry(t *testing.T) {
 // acquires on both sides with deadlines jittered around the handover
 // latency. Writer-side mirrored counters must agree exactly with the
 // writer-success atomic; readers assert the mirrors never tear.
+//
+// On two CPUs the workers barely overlap unless made to, so worker 0
+// takes the write lock before it lets the others start, and on that
+// acquisition and every 64th iteration after it holds the lock until a
+// positive-deadline RLockTimeout has expired or every other worker is
+// blocked in Lock or RLock or finished. Four iterations later it holds a
+// read lock, under the same fallback, until a positive-deadline
+// LockTimeout has expired. By the (w+i)%8 schedule worker 5's second
+// iteration is a 1µs RLockTimeout against the first write hold, and a
+// dedicated timed writer keeps LockTimeouts coming against the read
+// holds, so every spec abandons timed waits on both sides by
+// construction; a spec that logs none on either side fails.
 func TestConformanceRWTimeoutStorm(t *testing.T) {
 	for _, spec := range rwSpecs(t) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			const workers = 6
+			const mixed = 6
+			const workers = mixed + 1 // the last one is the timed writer
 			iters := confIters(t) / 4
 			m := buildRW(t, spec, workers)
 			ths := confThreads(workers)
 
 			var c1, c2 uint64
-			var wacquired, shed atomic.Uint64
+			var wacquired, shed, rexpired, wexpired atomic.Uint64
 			var winside atomic.Int32
+			// stalled counts the workers blocked in Lock or RLock or
+			// finished.
+			var stalled atomic.Int32
+			hold := func(expired *atomic.Uint64) {
+				for seen := expired.Load(); expired.Load() == seen && stalled.Load() < workers-1; {
+					runtime.Gosched()
+				}
+			}
+			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					defer stalled.Add(1)
 					th := ths[w]
+					if w != 0 {
+						<-start
+					}
 					for i := 0; i < iters; i++ {
 						write := false
-						switch (w + i) % 8 {
+						op := (w + i) % 8
+						if w == mixed {
+							op = 2
+						}
+						switch op {
 						case 0:
+							stalled.Add(1)
 							m.Lock(th)
+							stalled.Add(-1)
 							write = true
 						case 1:
 							if !m.TryLock(th) {
@@ -125,20 +158,30 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 							}
 							write = true
 						case 2, 3:
-							if !m.LockTimeout(th, time.Duration(i%7)*time.Microsecond) {
+							d := time.Duration(i%7) * time.Microsecond
+							if !m.LockTimeout(th, d) {
+								if d > 0 {
+									wexpired.Add(1)
+								}
 								shed.Add(1)
 								continue
 							}
 							write = true
 						case 4:
+							stalled.Add(1)
 							m.RLock(th)
+							stalled.Add(-1)
 						case 5:
 							if !m.RTryLock(th) {
 								shed.Add(1)
 								continue
 							}
 						default:
-							if !m.RLockTimeout(th, time.Duration(i%5)*time.Microsecond) {
+							d := time.Duration(i%5) * time.Microsecond
+							if !m.RLockTimeout(th, d) {
+								if d > 0 {
+									rexpired.Add(1)
+								}
 								shed.Add(1)
 								continue
 							}
@@ -150,6 +193,12 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 							c1++
 							c2++
 							wacquired.Add(1)
+							if w == 0 && i%64 == 0 {
+								if i == 0 {
+									close(start)
+								}
+								hold(&rexpired)
+							}
 							winside.Add(-1)
 							m.Unlock(th)
 						} else {
@@ -159,12 +208,22 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 							if r1, r2 := c1, c2; r1 != r2 {
 								t.Errorf("%s: reader saw torn counters %d != %d", spec.Name, r1, r2)
 							}
+							if w == 0 && i%64 == 4 {
+								hold(&wexpired)
+							}
 							m.RUnlock(th)
 						}
 					}
 				}(w)
 			}
 			wg.Wait()
+			t.Logf("%s: %d positive-deadline reader expiries, %d writer expiries", spec.Name, rexpired.Load(), wexpired.Load())
+			if rexpired.Load() == 0 {
+				t.Errorf("%s: no positive-deadline RLockTimeout expired: the storm never abandoned a read wait", spec.Name)
+			}
+			if wexpired.Load() == 0 {
+				t.Errorf("%s: no positive-deadline LockTimeout expired: the storm never abandoned a write wait", spec.Name)
+			}
 			if c1 != wacquired.Load() || c1 != c2 {
 				t.Fatalf("%s: counters (%d, %d) != writer acquisitions %d (shed %d)",
 					spec.Name, c1, c2, wacquired.Load(), shed.Load())

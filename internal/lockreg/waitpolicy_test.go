@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +75,120 @@ func TestConformanceSpinThenParkLiveOnOneCore(t *testing.T) {
 				t.Fatalf("%s with SpinThenPark hung at GOMAXPROCS=1 (lost wakeup or starvation)", spec.Name)
 			}
 		})
+	}
+}
+
+// TestConformanceRWParkedReaders drives the read side of every
+// cohort-RW spec under the parking policies, which WithWait reaches as it
+// reaches writers: on one scheduler proc, two writers and three readers
+// hammer a lock built WithWait(SpinThenPark{}) and WithWait(Park{}). So
+// that readers park by construction rather than by timing, writer 0
+// takes the lock before the others start and, on that acquisition and
+// every 16th after, holds it until a reader's node reports a park, no
+// reader is still running, or a second passes. Writer counters must
+// agree exactly, no reader may see a torn pair, the read indicators must
+// return to zero, and under Park the reader nodes must have recorded
+// parks. Not parallel: it pins the process-wide GOMAXPROCS.
+func TestConformanceRWParkedReaders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const writers, readers = 2, 3
+	iters := confIters(t) / 4
+	for _, spec := range rwSpecs(t) {
+		if spec.Native != nil {
+			continue
+		}
+		for _, p := range []waiter.Policy{waiter.SpinThenPark{}, waiter.Park{}} {
+			name := spec.Name + " " + p.Name()
+			t.Run(spec.Name+"/"+p.Name(), func(t *testing.T) {
+				m := buildRW(t, spec, writers+readers, WithWait(p))
+				ths := confThreads(writers + readers)
+				rnodes := make([]*locks.Node, readers)
+				for r := range rnodes {
+					rnodes[r] = ths[writers+r].Node(0)
+				}
+				parked := func() bool {
+					for _, n := range rnodes {
+						if n.Wait.Parked() {
+							return true
+						}
+					}
+					return false
+				}
+
+				var c1, c2 uint64 // mirrored, guarded by the write lock
+				var wacquired atomic.Uint64
+				var winside, readersLive atomic.Int32
+				readersLive.Store(readers)
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for w := 0; w < writers+readers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						th := ths[w]
+						if w != 0 {
+							<-start
+						}
+						if w >= writers {
+							defer readersLive.Add(-1)
+							for i := 0; i < iters; i++ {
+								m.RLock(th)
+								if winside.Load() != 0 {
+									t.Errorf("%s: reader admitted with a writer inside", name)
+								}
+								if r1, r2 := c1, c2; r1 != r2 {
+									t.Errorf("%s: reader saw torn counters %d != %d", name, r1, r2)
+								}
+								m.RUnlock(th)
+							}
+							return
+						}
+						for i := 0; i < iters; i++ {
+							m.Lock(th)
+							if winside.Add(1) != 1 {
+								t.Errorf("%s: two writers inside", name)
+							}
+							c1++
+							c2++
+							wacquired.Add(1)
+							if w == 0 && i%16 == 0 {
+								if i == 0 {
+									close(start)
+								}
+								for until := time.Now().Add(time.Second); !parked() && readersLive.Load() > 0 && time.Now().Before(until); {
+									runtime.Gosched()
+								}
+							}
+							winside.Add(-1)
+							m.Unlock(th)
+						}
+					}(w)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(2 * time.Minute):
+					t.Fatalf("%s hung at GOMAXPROCS=1 (lost reader wakeup or starvation)", name)
+				}
+
+				if c1 != wacquired.Load() || c1 != c2 {
+					t.Fatalf("%s: counters (%d, %d) != writer acquisitions %d: lost or duplicated writer",
+						name, c1, c2, wacquired.Load())
+				}
+				if n, ok := readerCount(m); ok && n != 0 {
+					t.Fatalf("%s: read indicators at %d after the hammer, want 0", name, n)
+				}
+				var parks uint32
+				for _, n := range rnodes {
+					parks += n.Wait.Parks()
+				}
+				t.Logf("%s: %d reader-node parks", name, parks)
+				if _, ok := p.(waiter.Park); ok && parks == 0 {
+					t.Errorf("%s: no reader ever parked under Park", name)
+				}
+			})
+		}
 	}
 }
 

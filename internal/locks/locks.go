@@ -17,12 +17,13 @@
 // the worker's identity: a dense id, the NUMA socket it runs on (from a
 // numa.Placement), and a private PRNG. The MCS-family queue locks (MCS,
 // MCSCR, CNA, HMCS's leaves and the cohort MCS locals) additionally need
-// a queue node per acquisition, and the nodes belong to the thread, not
-// to the lock: a Thread carries one Node per nesting depth, and
-// whichever lock it acquires at that depth queues that node, as the
-// Linux kernel's four per-CPU qspinlock nodes serve every spinlock. Such
-// a lock costs the same however many threads use it: an MCS, MCSCR or
-// CNA lock is its tail word and its configuration. Locks must therefore be
+// a queue node per acquisition, as does a reader that waits for an RW
+// lock's writer, and the nodes belong to the thread, not to the lock: a
+// Thread carries one Node per nesting depth, and whichever lock it
+// acquires at that depth queues that node, as the Linux kernel's four
+// per-CPU qspinlock nodes serve every spinlock. Such a lock costs the
+// same however many threads use it: an MCS, MCSCR or CNA lock is its
+// tail word and its configuration. Locks must therefore be
 // released in LIFO order with respect to other locks acquired through
 // the same Thread, which is the discipline every workload in this repo
 // (and the kernel) follows.
@@ -54,8 +55,7 @@ const MaxNesting = 4
 // Thread is a worker's identity, passed to every Lock/Unlock call.
 type Thread struct {
 	// ID is a dense worker index in [0, maxThreads); locks that keep
-	// per-thread state of their own (CLH, the RW reader park states)
-	// index it by ID.
+	// per-thread state of their own (CLH) index it by ID.
 	ID int
 	// Socket is the NUMA node the thread runs on.
 	Socket int

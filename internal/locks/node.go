@@ -9,7 +9,9 @@ import (
 )
 
 // Node is the queue node of the MCS-family locks: MCS, MCSCR, CNA
-// (internal/core), HMCS's leaves and the cohort MCS locals. Nodes
+// (internal/core), HMCS's leaves and the cohort MCS locals; a reader
+// waiting for an RW lock's writer (internal/locks/rw) waits on one too,
+// on the lock's stack of waiting readers. Nodes
 // belong to threads, not to locks: a Thread holds one per nesting depth,
 // reuses it across acquisitions, and carries it (implicitly, via the
 // depth) from Lock to Unlock. A node is exactly one cache line (asserted
@@ -135,7 +137,10 @@ func (n *Node) Abandon() bool {
 // Expire settles a timed wait on n, the node at t's top nesting depth,
 // as Abandon does. If the waiter wins, t gives the depth back and takes
 // a fresh node for it, and Expire returns false; if a releaser won, the
-// caller holds the lock and Expire returns true.
+// caller holds the lock and Expire returns true. A timed RW reader
+// settles its wait on the reader stack the same way, but there a grant
+// is a wake, not a read hold, and the reader retries admission once
+// more.
 func (t *Thread) Expire(n *Node) bool {
 	if n.Abandon() {
 		t.nodes[t.ReleaseSlot()] = NewNode()

@@ -25,9 +25,22 @@
 // other (the same Dekker-style argument as the waiter package's
 // flag-and-recheck handshake): a reader that saw no writer is visible
 // to the writer's drain scan, and a reader that races the flag retires
-// its increment ("blips out") and waits. Blocked readers and the
-// draining writer wait through the lock's waiter.Policy — per-thread
-// padded waiter.State for readers, one for the writer — so the RW
+// its increment ("blips out") and waits.
+//
+// A reader waits on its thread's own locks.Node for its nesting depth,
+// as the MCS-family queue locks do, so the lock keeps no per-thread
+// state and costs the same however many threads use it. The node is
+// pushed onto a one-word stack of waiting readers. A release that may
+// admit readers — Unlock, and every back-out of a writer attempt —
+// detaches the whole stack with one Swap and grants each node: a wake,
+// not a read hold, so the woken reader retries admission and writer
+// preference holds on every attempt. A reader rechecks the writer flags
+// after its push and, if the lock has become admittable, grants the
+// stack itself: the release it raced may have found the stack empty. A
+// timed reader whose deadline passes settles the race with the releaser
+// through Thread.Expire and leaves its node behind as a tombstone that
+// the next release skips. The draining writer waits on the lock's one
+// drain state. Both wait through the lock's waiter.Policy, so the RW
 // construction composes with spin, spin-then-park and park policies
 // like every other lock here, and the timed acquires reuse the
 // policies' WaitUntil machinery.
@@ -37,7 +50,7 @@
 // sync.RWMutex lets any goroutine release a read hold, and a goroutine
 // has no Thread. RTryLockAnon admits a reader on a caller-chosen stripe
 // without one, RAdopt turns a Thread's read hold into the same form (a
-// reader that had to wait needed the Thread's park state), and
+// reader that had to wait needed the Thread's queue node), and
 // RUnlockAnon releases one from any goroutine. Each stripe counts its
 // anonymous holds in a held word beside its indicator, and a release
 // decrements an indicator only after taking a hold off that stripe's
@@ -76,13 +89,9 @@ type indicator struct {
 	_    [6]uint64
 }
 
-// paddedState is a waiter.State padded to a full cache line: reader
-// park states are indexed by thread ID in one slice, and a waker
-// touching one thread's flag must not invalidate its neighbours'.
-type paddedState struct {
-	st waiter.State
-	_  [5]uint64
-}
+// admitted is the value a release grants a waiting reader's node with:
+// a wake, not a read hold. Its fields are never accessed.
+var admitted = new(locks.Node)
 
 // Option tunes a Lock at construction.
 type Option func(*Lock)
@@ -99,19 +108,18 @@ func WriterPreference() Option { return func(l *Lock) { l.neutral = false } }
 // Lock is the NUMA-aware reader-writer lock. Build one with New; the
 // zero value is not usable. It implements locks.RWMutex; the writer
 // methods (Lock/TryLock/LockTimeout/Unlock) carry the full TimedMutex
-// contract of the wrapped gate.
+// contract of the wrapped gate. Its fields fill four whole cache lines
+// (pinned by the layout test): two read-only header lines, the writer
+// flags every reader admission reads, and the line waiting readers and
+// the draining writer write.
 type Lock struct {
-	writer  locks.TimedMutex
-	wait    waiter.Policy
-	base    string // the gate's name at construction (its spin spelling)
-	neutral bool
-
+	writer     locks.TimedMutex
+	wait       waiter.Policy
+	base       string // the gate's name at construction (its spin spelling)
+	neutral    bool
 	ind        []indicator   // per-socket read indicators
-	rstates    []paddedState // per-thread reader park states, by t.ID
 	drainReady []func() bool // per-socket "indicator is zero", preallocated
-	readReady  func() bool   // "!readBlocked()", preallocated
-
-	_ [4]uint64 // keep the hot flags off the header fields' line
+	_          [3]uint64     // the header fills two lines
 
 	// wactive is 1 from the moment a gate holder declares itself until
 	// its Unlock; wwaiting counts writers waiting at the gate
@@ -120,46 +128,39 @@ type Lock struct {
 	// read-shared line.
 	wactive  atomic.Uint32
 	wwaiting atomic.Int32
+	_        [7]uint64
 
-	_ [7]uint64 // slowReaders is written by contended readers; keep it
-	// off the line the reader fast path reads wactive from.
-
-	// slowReaders counts readers in the slow-path wait loop; the writer
-	// release broadcast is skipped entirely while it is zero.
-	slowReaders atomic.Int32
-
-	_ [7]uint64
-
+	// readers is the stack of waiting readers' nodes, linked through
+	// Next; nil means no reader waits, and a release skips its wake.
+	readers atomic.Pointer[locks.Node]
 	// wstate is the draining writer's park state (only the single gate
 	// holder drains, so one state suffices).
-	wstate paddedState
+	wstate waiter.State
+	// 256 B in all: the allocator's 256-byte size class starts every
+	// object on a line boundary, so the lines above are real lines.
+	_ [4]uint64
 }
 
 // New wraps gate as the writer arbiter of a reader-writer lock for a
-// machine with the given socket count and thread-ID bound. Values
-// below 1 are raised to 1. The per-socket striping follows
-// locks.Thread.Socket — the identity a numa.Placement assigns — so a
-// reader's increment lands on the line its socket owns.
-func New(gate locks.TimedMutex, sockets, maxThreads int, opts ...Option) *Lock {
+// machine with the given socket count; values below 1 are raised to 1.
+// The per-socket striping follows locks.Thread.Socket — the identity a
+// numa.Placement assigns — so a reader's increment lands on the line
+// its socket owns.
+func New(gate locks.TimedMutex, sockets int, opts ...Option) *Lock {
 	if sockets < 1 {
 		sockets = 1
 	}
-	if maxThreads < 1 {
-		maxThreads = 1
-	}
 	l := &Lock{
-		writer:  gate,
-		wait:    waiter.Default,
-		base:    gate.Name(),
-		ind:     make([]indicator, sockets),
-		rstates: make([]paddedState, maxThreads),
+		writer: gate,
+		wait:   waiter.Default,
+		base:   gate.Name(),
+		ind:    make([]indicator, sockets),
 	}
 	l.drainReady = make([]func() bool, sockets)
 	for i := range l.drainReady {
 		n := &l.ind[i].n
 		l.drainReady[i] = func() bool { return n.Load() == 0 }
 	}
-	l.readReady = func() bool { return !l.readBlocked() }
 	for _, o := range opts {
 		o(l)
 	}
@@ -202,29 +203,42 @@ func (l *Lock) tryEnterRead(s int) bool {
 		return true
 	}
 	if n.Add(-1) == 0 && l.wactive.Load() != 0 {
-		l.wait.Wake(&l.wstate.st)
+		l.wait.Wake(&l.wstate)
 	}
 	return false
 }
 
 // RLock implements locks.RWMutex: the fast path is one increment on
 // the caller's socket stripe plus one load of the shared writer-flag
-// line; the slow path waits through the lock's policy and retries.
+// line; the slow path waits on the thread's node in the reader stack
+// and retries.
 func (l *Lock) RLock(t *Thread) {
-	t.AcquireSlot()
+	d := t.AcquireSlot()
 	s := l.stripe(t)
-	if l.tryEnterRead(s) {
-		return
+	for !l.tryEnterRead(s) {
+		me := t.Node(d)
+		l.push(me)
+		l.wait.Wait(&me.Wait, me.Ready)
 	}
-	st := &l.rstates[t.ID].st
-	l.slowReaders.Add(1)
+}
+
+// push readies a turned-away reader's node and pushes it onto the
+// reader stack. A release that lowered the writer flags before the push
+// may have found the stack empty, so the reader rechecks them after it
+// and, if the lock has become admittable, grants the stack itself (the
+// push-then-load here pairs with the release's store-then-swap).
+func (l *Lock) push(me *locks.Node) {
+	me.Spin.Store(nil)
+	l.wait.Prepare(&me.Wait)
 	for {
-		l.wait.Prepare(st)
-		l.wait.Wait(st, l.readReady)
-		if l.tryEnterRead(s) {
-			l.slowReaders.Add(-1)
-			return
+		head := l.readers.Load()
+		me.Next.Store(head)
+		if l.readers.CompareAndSwap(head, me) {
+			break
 		}
+	}
+	if !l.readBlocked() {
+		l.wakeReaders()
 	}
 }
 
@@ -241,12 +255,12 @@ func (l *Lock) RUnlock(t *Thread) {
 // exitRead retires one admitted increment on stripe s.
 func (l *Lock) exitRead(s int) {
 	if l.ind[s].n.Add(-1) == 0 && l.wactive.Load() != 0 {
-		l.wait.Wake(&l.wstate.st)
+		l.wait.Wake(&l.wstate)
 	}
 }
 
 // RTryLockAnon makes one reader admission attempt on stripe hint
-// (wrapped into range) with no Thread: no nesting slot, no park state.
+// (wrapped into range) with no Thread: no nesting slot, no queue node.
 // The hold it takes is anonymous — counted in the stripe's held word —
 // and is released by RUnlockAnon from any goroutine.
 func (l *Lock) RTryLockAnon(hint int) bool {
@@ -303,29 +317,35 @@ func (l *Lock) RTryLock(t *Thread) bool {
 }
 
 // RLockTimeout implements locks.RWMutex: RLock bounded by d. On expiry
-// it returns false with no trace — the blip protocol has already
-// retired every transient increment, and the nesting slot is released.
+// it returns false with no trace on the indicators — the blip protocol
+// has already retired every transient increment — and the nesting slot
+// is released. A node whose wait expired before any release reached it
+// stays on the reader stack as a tombstone (see Thread.Expire).
 func (l *Lock) RLockTimeout(t *Thread, d time.Duration) bool {
 	if d <= 0 {
 		return l.RTryLock(t)
 	}
-	t.AcquireSlot()
+	slot := t.AcquireSlot()
 	s := l.stripe(t)
 	if l.tryEnterRead(s) {
 		return true
 	}
 	deadline := time.Now().Add(d)
-	st := &l.rstates[t.ID].st
-	l.slowReaders.Add(1)
 	for {
-		l.wait.Prepare(st)
-		expired := !l.wait.WaitUntil(st, l.readReady, deadline)
-		if l.tryEnterRead(s) { // grant at the buzzer still wins
-			l.slowReaders.Add(-1)
+		me := t.Node(slot)
+		// Arm before the push publishes the node: a releaser must never
+		// observe this (timed) node unarmed.
+		me.TState.Store(locks.TSArmed)
+		l.push(me)
+		if !l.wait.WaitUntil(&me.Wait, me.Ready, deadline) && !t.Expire(me) {
+			return false
+		}
+		// Woken, at the buzzer or before: a wake, not a read hold.
+		me.TState.Store(locks.TSClean)
+		if l.tryEnterRead(s) {
 			return true
 		}
-		if expired || !time.Now().Before(deadline) {
-			l.slowReaders.Add(-1)
+		if !time.Now().Before(deadline) {
 			t.ReleaseSlot()
 			return false
 		}
@@ -354,8 +374,8 @@ func (l *Lock) drain() {
 		if l.ind[i].n.Load() == 0 {
 			continue
 		}
-		l.wait.Prepare(&l.wstate.st)
-		l.wait.Wait(&l.wstate.st, l.drainReady[i])
+		l.wait.Prepare(&l.wstate)
+		l.wait.Wait(&l.wstate, l.drainReady[i])
 	}
 }
 
@@ -366,8 +386,8 @@ func (l *Lock) drainUntil(deadline time.Time) bool {
 		if l.ind[i].n.Load() == 0 {
 			continue
 		}
-		l.wait.Prepare(&l.wstate.st)
-		if !l.wait.WaitUntil(&l.wstate.st, l.drainReady[i], deadline) {
+		l.wait.Prepare(&l.wstate)
+		if !l.wait.WaitUntil(&l.wstate, l.drainReady[i], deadline) {
 			return false
 		}
 	}
@@ -376,8 +396,8 @@ func (l *Lock) drainUntil(deadline time.Time) bool {
 
 // TryLock implements locks.Mutex: gate TryLock, then a single scan of
 // the indicators — any live reader backs the attempt out. The back-out
-// broadcasts to slow-path readers: one may have parked against the
-// transient writer flag.
+// wakes waiting readers: one may have been turned away by the transient
+// writer flag.
 func (l *Lock) TryLock(t *Thread) bool {
 	if !l.writer.TryLock(t) {
 		return false
@@ -422,26 +442,30 @@ func (l *Lock) LockTimeout(t *Thread, d time.Duration) bool {
 }
 
 // Unlock implements locks.Mutex: lower the writer flag, release the
-// gate, and wake deferred readers. The flag store precedes the
-// broadcast, so a woken reader's recheck observes an admittable lock;
-// a reader that enters its slow path after the broadcast's skip check
-// observes the lowered flag on its pre-wait recheck instead (seq-cst,
-// the usual store-then-check vs add-then-load pairing).
+// gate, and wake deferred readers. The flag store precedes the wake, so
+// a woken reader's retry observes an admittable lock; a reader that
+// pushes its node after the wake found the stack empty observes the
+// lowered flag on its post-push recheck instead (seq-cst, the usual
+// store-then-swap vs push-then-load pairing).
 func (l *Lock) Unlock(t *Thread) {
 	l.wactive.Store(0)
 	l.writer.Unlock(t)
 	l.wakeReaders()
 }
 
-// wakeReaders broadcasts to every reader park state. Skipped entirely
-// while no reader is in the slow path; under the Spin policy each Wake
-// is a no-op load.
+// wakeReaders detaches the reader stack with one Swap and grants every
+// node on it; skipped while the stack is empty. Each node's link is
+// read before its grant, because a granted reader may reuse its node at
+// once, here or on another lock. A tombstone refuses its grant and is
+// dropped with the rest of the detached stack.
 func (l *Lock) wakeReaders() {
-	if l.slowReaders.Load() == 0 {
+	if l.readers.Load() == nil {
 		return
 	}
-	for i := range l.rstates {
-		l.wait.Wake(&l.rstates[i].st)
+	for n := l.readers.Swap(nil); n != nil; {
+		next := n.Next.Load()
+		n.Grant(l.wait, admitted)
+		n = next
 	}
 }
 
@@ -450,7 +474,7 @@ func (l *Lock) wakeReaders() {
 // "MCS-rw-park".
 func (l *Lock) Name() string { return l.base + locknames.RWSuffix + l.wait.Suffix() }
 
-// SetWait implements waiter.Setter: the policy governs blocked readers
+// SetWait implements waiter.Setter: the policy governs waiting readers
 // and the writer drain, and is forwarded to the gate so one WithWait
 // configures the whole construction. Like every SetWait, it must run
 // before the lock is shared.

@@ -1,6 +1,7 @@
 package rw
 
 import (
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -14,7 +15,10 @@ import (
 // exactly one 64-byte cache line, so two sockets' reader counters can
 // never false-share (the latent bug class where a layout change
 // silently halves reader throughput). Same discipline as core.Node's
-// size assertion.
+// size assertion. It also pins the Lock's own lines: the read-only
+// header, the writer flags every reader admission loads, and the reader
+// stack with the drain state, which contended readers and the draining
+// writer write.
 func TestIndicatorPadding(t *testing.T) {
 	if got := unsafe.Sizeof(indicator{}); got != 64 {
 		t.Fatalf("indicator is %d bytes, want exactly one 64-byte cache line", got)
@@ -28,7 +32,7 @@ func TestIndicatorPadding(t *testing.T) {
 		t.Fatalf("indicator held count at offset %d, want it inside the 64-byte line", off)
 	}
 	// Adjacent stripes must land one full line apart in the slice.
-	l := New(locks.NewStd(), 4, 4)
+	l := New(locks.NewStd(), 4)
 	for i := 1; i < len(l.ind); i++ {
 		prev := uintptr(unsafe.Pointer(&l.ind[i-1].n))
 		cur := uintptr(unsafe.Pointer(&l.ind[i].n))
@@ -36,11 +40,21 @@ func TestIndicatorPadding(t *testing.T) {
 			t.Fatalf("stripes %d and %d are %d bytes apart, want 64", i-1, i, cur-prev)
 		}
 	}
-	// Reader park states are indexed per thread out of one slice and
-	// get the same treatment: a wake touching one thread's flag must
-	// not invalidate its neighbours'.
-	if got := unsafe.Sizeof(paddedState{}); got != 64 {
-		t.Fatalf("paddedState is %d bytes, want 64", got)
+	var lk Lock
+	for _, f := range []struct {
+		name      string
+		off, want uintptr
+	}{
+		{"drainReady (last header field)", unsafe.Offsetof(lk.drainReady), 80},
+		{"wactive", unsafe.Offsetof(lk.wactive), 128},
+		{"wwaiting", unsafe.Offsetof(lk.wwaiting), 132},
+		{"readers", unsafe.Offsetof(lk.readers), 192},
+		{"wstate", unsafe.Offsetof(lk.wstate), 200},
+		{"Lock size", unsafe.Sizeof(lk), 256},
+	} {
+		if f.off != f.want {
+			t.Errorf("%s at %d, want %d: the Lock is a 128-byte header, the writer-flag line, then the reader-stack line", f.name, f.off, f.want)
+		}
 	}
 }
 
@@ -48,7 +62,7 @@ func TestIndicatorPadding(t *testing.T) {
 // count, writer excludes readers and vice versa, and every counter
 // returns to zero.
 func TestBasicRW(t *testing.T) {
-	l := New(locks.NewMCS(), 2, 2)
+	l := New(locks.NewMCS(), 2)
 	t0 := locks.NewThread(0, 0)
 	t1 := locks.NewThread(1, 1)
 
@@ -96,7 +110,7 @@ func TestBasicRW(t *testing.T) {
 // or the blip's own decrement would drive stripe 0 negative and leave
 // stripe 1 held forever, hanging every writer's drain.
 func TestAnonReleasePairsByStripe(t *testing.T) {
-	l := New(locks.NewStd(), 2, 2)
+	l := New(locks.NewStd(), 2)
 	if !l.RTryLockAnon(1) {
 		t.Fatal("anonymous admission refused on an idle lock")
 	}
@@ -159,7 +173,7 @@ func TestAnonReleasePairsByStripe(t *testing.T) {
 // failed LockTimeout the waiting count must be retracted (or readers
 // would defer forever under writer preference) and the gate released.
 func TestWriterTimeoutBackout(t *testing.T) {
-	l := New(locks.NewMCS(), 2, 2)
+	l := New(locks.NewMCS(), 2)
 	reader := locks.NewThread(0, 0)
 	writer := locks.NewThread(1, 1)
 
@@ -187,10 +201,93 @@ func TestWriterTimeoutBackout(t *testing.T) {
 	l.Unlock(writer)
 }
 
+// TestExpiredReaderLeavesTombstone pins the timed reader's abandonment
+// under each waiting policy. A reader whose deadline passes while a
+// writer holds the lock leaves its node on the reader stack, abandoned,
+// and takes a fresh node for its depth. An untimed reader that queues on
+// top of the tombstone is admitted by the writer's Unlock, which skips
+// the tombstone, and the stack ends empty.
+func TestExpiredReaderLeavesTombstone(t *testing.T) {
+	for _, p := range []waiter.Policy{waiter.Spin{}, waiter.SpinThenPark{}, waiter.Park{}} {
+		t.Run(p.Name(), func(t *testing.T) {
+			l := New(locks.NewMCS(), 2)
+			l.SetWait(p)
+			w := locks.NewThread(0, 0)
+			timed := locks.NewThread(1, 1)
+			plain := locks.NewThread(2, 0)
+
+			l.Lock(w)
+			old := timed.Node(0)
+			if l.RLockTimeout(timed, time.Millisecond) {
+				t.Fatal("timed reader admitted with a writer inside")
+			}
+			if timed.Depth() != 0 {
+				t.Fatalf("expired reader left nesting depth %d", timed.Depth())
+			}
+			if timed.Node(0) == old {
+				t.Fatal("expired reader kept its abandoned node")
+			}
+			if ts := old.TState.Load(); ts != locks.TSAbandoned {
+				t.Fatalf("expired reader's node in TState %d, want TSAbandoned", ts)
+			}
+			if l.readers.Load() != old {
+				t.Fatal("the tombstone is not on the reader stack")
+			}
+
+			me := plain.Node(0)
+			done := make(chan struct{})
+			go func() {
+				l.RLock(plain)
+				close(done)
+			}()
+			for l.readers.Load() != me {
+				runtime.Gosched()
+			}
+			if me.Next.Load() != old {
+				t.Fatal("the waiting reader's node does not link to the tombstone")
+			}
+			l.Unlock(w)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the writer's Unlock did not admit the waiting reader")
+			}
+			if old.Spin.Load() != nil {
+				t.Fatal("the release granted the tombstone")
+			}
+			if l.readers.Load() != nil {
+				t.Fatal("reader stack not empty after the release")
+			}
+			l.RUnlock(plain)
+			if n := l.ReaderCount(); n != 0 {
+				t.Fatalf("ReaderCount = %d after the read hold ended, want 0", n)
+			}
+		})
+	}
+}
+
+// TestLateReaderGrantsItself pins the reader's post-push recheck. A
+// release that lowered the writer flag before a turned-away reader
+// pushed its node found the stack empty and woke nobody, so the reader
+// must see the lowered flag after its push and grant the stack itself,
+// or it waits for a release that never comes. The interleaving is built
+// by hand: the push lands on a lock no writer holds.
+func TestLateReaderGrantsItself(t *testing.T) {
+	l := New(locks.NewMCS(), 2)
+	me := locks.NewThread(0, 0).Node(0)
+	l.push(me)
+	if !me.Ready() {
+		t.Fatal("a reader that pushed onto an admittable lock was not granted")
+	}
+	if l.readers.Load() != nil {
+		t.Fatal("reader stack not empty after the reader granted it")
+	}
+}
+
 // TestNeutralMode checks the mode option: neutral readers ignore
 // gate-waiting writers (only an active writer blocks them).
 func TestNeutralMode(t *testing.T) {
-	l := New(locks.NewStd(), 2, 2, Neutral())
+	l := New(locks.NewStd(), 2, Neutral())
 	if !l.NeutralMode() {
 		t.Fatal("Neutral() option did not take")
 	}
@@ -204,7 +301,7 @@ func TestNeutralMode(t *testing.T) {
 	l.RUnlock(r)
 	l.wwaiting.Add(-1)
 
-	wp := New(locks.NewStd(), 2, 2, WriterPreference())
+	wp := New(locks.NewStd(), 2, WriterPreference())
 	wp.wwaiting.Add(1)
 	if wp.RTryLock(r) {
 		t.Fatal("writer-preference reader ignored a waiting writer")
@@ -220,7 +317,7 @@ func TestNeutralMode(t *testing.T) {
 // the gate.
 func TestNameAndSetWait(t *testing.T) {
 	gate := locks.NewMCS()
-	l := New(gate, 2, 1)
+	l := New(gate, 2)
 	if got := l.Name(); got != "MCS-rw" {
 		t.Fatalf("Name() = %q, want MCS-rw", got)
 	}
