@@ -50,7 +50,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/locks"
@@ -137,8 +136,8 @@ type Stats struct {
 // line so that arriving threads' tail swaps do not invalidate the
 // holder-read configuration (and optional statistics) below it.
 type Lock struct {
-	tail atomic.Pointer[locks.Node]
-	_    [7]uint64
+	q locks.Queue
+	_ [7]uint64
 
 	opts  Options
 	wait  waiter.Policy // waiting policy; read-only once the lock is shared
@@ -196,17 +195,16 @@ func (l *Lock) Lock(t *locks.Thread) {
 	l.lockNode(t.Node(t.AcquireSlot()), t)
 }
 
-// TryLock implements locks.Mutex: one CAS on the empty tail — the
-// composed fast path Fissile Locks put in front of queue machinery. A
-// success is exactly the uncontended Lock path (socket stays -1, which
-// tells unlockNode the secondary queue is empty and the spin word was
-// never written); a failure publishes nothing, touches no waiter state
-// and returns the nesting slot.
+// TryLock implements locks.Mutex: Queue.TryLock, one CAS on the empty
+// tail — the composed fast path Fissile Locks put in front of queue
+// machinery. A success is exactly the uncontended Lock path (socket
+// stays -1, which tells unlockNode the secondary queue is empty and the
+// spin word was never written); a failure publishes nothing, touches no
+// waiter state and returns the nesting slot.
 func (l *Lock) TryLock(t *locks.Thread) bool {
 	me := t.Node(t.AcquireSlot())
-	me.ClearNext()
 	me.Socket = -1
-	if l.tail.CompareAndSwap(nil, me) {
+	if l.q.TryLock(me) {
 		if st := l.stats; st != nil {
 			st.Handover.Record(t.Socket)
 		}
@@ -221,35 +219,25 @@ func (l *Lock) Unlock(t *locks.Thread) {
 	l.unlockNode(t.Node(t.ReleaseSlot()), t)
 }
 
-// LockTimeout implements locks.TimedMutex via the TState abandonment
-// protocol (see locks.TSClean): arm the node, enqueue, run the timed
-// wait, and on expiry race the releaser for the node's fate.
-// A waiter that accepts an at-the-buzzer grant inherits whatever spin
-// value the releaser committed — possibly the secondary-queue head — so
-// its eventual unlock carries the secondary queue onward as usual.
+// LockTimeout implements locks.TimedMutex via Queue.LockUntil, with
+// the socket recorded before the node is published. A waiter that
+// accepts an at-the-buzzer grant inherits whatever spin value the
+// releaser committed — possibly the secondary-queue head — so its
+// eventual unlock carries the secondary queue onward as usual.
 func (l *Lock) LockTimeout(t *locks.Thread, d time.Duration) bool {
 	me := t.Node(t.AcquireSlot())
-	deadline := time.Now().Add(d)
-	me.ClearNext()
-	// Unlike the untimed fast path, everything is prepared before the
-	// tail swap publishes the node: a releaser must never observe this
-	// (timed) node unarmed, and an abandoning waiter cannot come back to
-	// finish deferred setup.
-	me.Spin.Store(nil)
 	me.Socket = int32(t.Socket)
-	l.wait.Prepare(&me.Wait)
-	me.TState.Store(locks.TSArmed)
-	if tail := l.tail.Swap(me); tail != nil {
-		tail.Next.Store(me)
-		if !l.wait.WaitUntil(&me.Wait, me.Ready, deadline) && !t.Expire(me) {
-			return false
-		}
-	} else {
-		// The socket is recorded, so unlockNode will read the spin word
-		// rather than derive it: store the empty-secondary sentinel.
+	v, ok := l.q.LockUntil(me, l.wait, time.Now().Add(d))
+	if !ok {
+		t.Retire()
+		return false
+	}
+	if v == nil {
+		// Entered an empty queue with the socket recorded, so unlockNode
+		// will read the spin word rather than derive it: store the
+		// empty-secondary sentinel.
 		me.Spin.Store(granted)
 	}
-	me.TState.Store(locks.TSClean)
 	if st := l.stats; st != nil {
 		st.Handover.Record(t.Socket)
 	}
@@ -262,7 +250,7 @@ func (l *Lock) lockNode(me *locks.Node, t *locks.Thread) {
 	me.Socket = -1
 
 	// Add myself to the main queue — the only atomic in the lock path.
-	tail := l.tail.Swap(me)
+	tail := l.q.Tail.Swap(me)
 	if tail == nil {
 		// No one there: we hold the lock with no secondary queue. The
 		// pseudo-code records that by setting me->spin = 1; here the
@@ -321,7 +309,7 @@ func (l *Lock) unlockNode(me *locks.Node, t *locks.Thread) {
 			if sp == granted {
 				// Secondary queue empty too: try to swing the tail to
 				// nil, leaving the lock completely free.
-				if l.tail.CompareAndSwap(cur, nil) {
+				if l.q.Tail.CompareAndSwap(cur, nil) {
 					return
 				}
 			} else {
@@ -330,7 +318,7 @@ func (l *Lock) unlockNode(me *locks.Node, t *locks.Thread) {
 				// hand the lock to its head. (Secondary nodes are never
 				// timed — see the TState comment — so the grant below
 				// cannot fail in practice; the fallback costs nothing.)
-				if l.tail.CompareAndSwap(cur, sp.SecTail.Load()) {
+				if l.q.Tail.CompareAndSwap(cur, sp.SecTail.Load()) {
 					if st := l.stats; st != nil {
 						st.Flushes++
 					}

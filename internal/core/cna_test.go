@@ -15,7 +15,7 @@ func enqueue(l *Lock, n *locks.Node, socket int32) {
 	n.Next.Store(nil)
 	n.Socket = -1
 	n.Spin.Store(nil)
-	tail := l.tail.Swap(n)
+	tail := l.q.Tail.Swap(n)
 	if tail == nil {
 		n.Spin.Store(granted)
 		return
@@ -77,7 +77,7 @@ func TestFigure1RunningExample(t *testing.T) {
 	}
 	chain(t, "(b) secondary", n[2], n[3])
 	chain(t, "(b) main", n[4], n[5], n[6])
-	if l.tail.Load() != n[6] {
+	if l.q.Tail.Load() != n[6] {
 		t.Fatal("(b): tail is not t6")
 	}
 	if n[2].Spin.Load() != nil || n[3].Spin.Load() != nil {
@@ -87,7 +87,7 @@ func TestFigure1RunningExample(t *testing.T) {
 	// (c) t1 returns and re-enters the main queue.
 	enqueue(l, n[1], 0)
 	chain(t, "(c) main", n[4], n[5], n[6], n[1])
-	if l.tail.Load() != n[1] {
+	if l.q.Tail.Load() != n[1] {
 		t.Fatal("(c): tail is not t1")
 	}
 
@@ -120,7 +120,7 @@ func TestFigure1RunningExample(t *testing.T) {
 		t.Fatal("(g): t2 did not receive the lock")
 	}
 	chain(t, "(g) main", n[2], n[3], n[6], n[7])
-	if l.tail.Load() != n[7] {
+	if l.q.Tail.Load() != n[7] {
 		t.Fatal("(g): tail is not t7")
 	}
 	// The paper notes t2's secondaryTail deliberately still points at t6.
@@ -142,7 +142,7 @@ func TestFigure1RunningExample(t *testing.T) {
 		t.Fatal("drain: t7 did not receive the lock")
 	}
 	l.unlockNode(n[7], th[7])
-	if l.tail.Load() != nil {
+	if l.q.Tail.Load() != nil {
 		t.Fatal("drain: lock not free after all threads unlocked")
 	}
 
@@ -183,12 +183,12 @@ func TestSecondaryFlushViaTailCAS(t *testing.T) {
 	if n1.Spin.Load() != granted {
 		t.Fatal("secondary head not granted the lock on flush")
 	}
-	if l.tail.Load() != n1 {
-		t.Fatalf("tail = %p, want secondary tail n1 (%p)", l.tail.Load(), n1)
+	if l.q.Tail.Load() != n1 {
+		t.Fatalf("tail = %p, want secondary tail n1 (%p)", l.q.Tail.Load(), n1)
 	}
 	// Finally n1 frees the lock completely.
 	l.unlockNode(n1, t1)
-	if l.tail.Load() != nil {
+	if l.q.Tail.Load() != nil {
 		t.Fatal("lock not free")
 	}
 }
@@ -230,7 +230,7 @@ func TestUncontendedPath(t *testing.T) {
 			t.Fatal("uncontended lock recorded a socket")
 		}
 		l.Unlock(th)
-		if l.tail.Load() != nil {
+		if l.q.Tail.Load() != nil {
 			t.Fatal("lock not free after unlock")
 		}
 	}
@@ -267,7 +267,7 @@ func TestMutualExclusion(t *testing.T) {
 			if counter != threads*iters {
 				t.Fatalf("counter = %d, want %d", counter, threads*iters)
 			}
-			if l.tail.Load() != nil {
+			if l.q.Tail.Load() != nil {
 				t.Fatal("queue not empty at quiescence")
 			}
 		})
@@ -472,7 +472,7 @@ func TestCNAQuiescenceProperty(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		return counter == threads*iters && l.tail.Load() == nil
+		return counter == threads*iters && l.q.Tail.Load() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

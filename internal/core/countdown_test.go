@@ -30,7 +30,7 @@ func TestFairnessCountdownCorrectness(t *testing.T) {
 	if counter != threads*iters {
 		t.Fatalf("counter = %d, want %d", counter, threads*iters)
 	}
-	if l.tail.Load() != nil {
+	if l.q.Tail.Load() != nil {
 		t.Fatal("queue not empty at quiescence")
 	}
 }

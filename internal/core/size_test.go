@@ -15,7 +15,7 @@ import (
 // configuration/statistics, and the queue nodes are the threads' own.
 func TestSharedStateIsOneWord(t *testing.T) {
 	var l Lock
-	if got := unsafe.Sizeof(l.tail); got != unsafe.Sizeof(uintptr(0)) {
+	if got := unsafe.Sizeof(l.q); got != unsafe.Sizeof(uintptr(0)) {
 		t.Fatalf("tail word is %d bytes, want pointer-sized (%d)",
 			got, unsafe.Sizeof(uintptr(0)))
 	}
@@ -30,7 +30,7 @@ func TestSharedStateIsOneWord(t *testing.T) {
 func TestTailIsolatedFromHolderFields(t *testing.T) {
 	const line = 64
 	var l Lock
-	if off := unsafe.Offsetof(l.tail); off != 0 {
+	if off := unsafe.Offsetof(l.q); off != 0 {
 		t.Fatalf("tail at offset %d, want 0", off)
 	}
 	for name, off := range map[string]uintptr{

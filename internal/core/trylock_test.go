@@ -7,10 +7,10 @@ import (
 	"repro/internal/waiter"
 )
 
-// TestCNATryLockNeverTouchesWaiterState: CNA's TryLock runs under
-// waiter.TryPolicy — a failed (or successful) attempt must leave the
-// prober's node park state untouched even when the lock's blocking
-// paths park, and must never consume a nesting slot on failure.
+// TestCNATryLockNeverTouchesWaiterState: CNA's TryLock never waits — a
+// failed (or successful) attempt must leave the prober's node park
+// state untouched even when the lock's blocking paths park, and must
+// never consume a nesting slot on failure.
 func TestCNATryLockNeverTouchesWaiterState(t *testing.T) {
 	l := NewWithOptions(DefaultOptions())
 	l.SetWait(waiter.SpinThenPark{})
@@ -41,7 +41,7 @@ func TestCNATryLockNeverTouchesWaiterState(t *testing.T) {
 		t.Fatalf("TryLock recorded socket %d; the fast path must skip the lookup", got)
 	}
 	l.Unlock(prober)
-	if l.tail.Load() != nil {
+	if l.q.Tail.Load() != nil {
 		t.Fatal("lock not free after TryLock/Unlock round trip")
 	}
 }

@@ -274,7 +274,7 @@ func (m *Mutex) Lock() {
 // TryLock implements locks.NativeMutex: non-blocking at both levels —
 // it fails cleanly when no thread slot is free, and otherwise runs the
 // inner lock's TryLock, which never queues (and never touches waiter
-// state; see waiter.TryPolicy).
+// state; see the TryLock waiter-state tests in internal/locks).
 func (m *Mutex) TryLock() bool {
 	if f := m.fast; f != nil {
 		// Pure fast path: a fissile TryLock is the outer-word CAS and

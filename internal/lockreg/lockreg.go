@@ -572,6 +572,10 @@ var layers = []layer{
 			if c.rwNeutralSet && c.rwNeutral {
 				ropts = append(ropts, rw.Neutral())
 			}
+			// rw.New takes its name from the gate, so the gate is built
+			// without the caller's policy; register's WithWait reaches it
+			// through rw.Lock.SetWait, and the suffix follows "-rw" once.
+			c.wait = nil
 			return rw.New(base(env, c), env.Sockets(), ropts...)
 		},
 	},

@@ -103,9 +103,12 @@ func TestConformanceRWTimeoutExpiry(t *testing.T) {
 // read lock, under the same fallback, until a positive-deadline
 // LockTimeout has expired. By the (w+i)%8 schedule worker 5's second
 // iteration is a 1µs RLockTimeout against the first write hold, and a
-// dedicated timed writer keeps LockTimeouts coming against the read
-// holds, so every spec abandons timed waits on both sides by
-// construction; a spec that logs none on either side fails.
+// dedicated timed writer starts at worker 0's first read hold (or when
+// worker 0 finishes without one), so its second iteration is a 1µs
+// LockTimeout against that hold, which cannot end through the fallback
+// while the timed writer runs. Every spec therefore abandons timed
+// waits on both sides by construction; a spec that logs none on either
+// side fails.
 func TestConformanceRWTimeoutStorm(t *testing.T) {
 	for _, spec := range rwSpecs(t) {
 		spec := spec
@@ -129,6 +132,9 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 				}
 			}
 			start := make(chan struct{})
+			// timed starts the timed writer.
+			timed := make(chan struct{})
+			var startTimed sync.Once
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -136,7 +142,12 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 					defer wg.Done()
 					defer stalled.Add(1)
 					th := ths[w]
-					if w != 0 {
+					switch w {
+					case 0:
+						defer startTimed.Do(func() { close(timed) })
+					case mixed:
+						<-timed
+					default:
 						<-start
 					}
 					for i := 0; i < iters; i++ {
@@ -209,6 +220,7 @@ func TestConformanceRWTimeoutStorm(t *testing.T) {
 								t.Errorf("%s: reader saw torn counters %d != %d", spec.Name, r1, r2)
 							}
 							if w == 0 && i%64 == 4 {
+								startTimed.Do(func() { close(timed) })
 								hold(&wexpired)
 							}
 							m.RUnlock(th)

@@ -220,13 +220,38 @@ func TestConformanceParkVariantHandoverRaces(t *testing.T) {
 
 // TestConformanceParkVariantNamesAndPolicy: an explicit WithWait
 // overrides the policy a spin-park spec's name implies, and the built
-// lock's Name() follows the policy it runs. (The catalogue pins every
-// spec's Wait; TestCanonicalNameMatchesMutexName pins every default
-// build's Name().)
+// lock's Name() follows the policy it runs. An -rw spec built WithWait
+// carries the policy suffix once, after "-rw", and its writer gate runs
+// (and is named for) the same policy. (The catalogue pins every spec's
+// Wait; TestCanonicalNameMatchesMutexName pins every default build's
+// Name().)
 func TestConformanceParkVariantNamesAndPolicy(t *testing.T) {
 	m := MustBuild("MCS-park", testEnv(2), WithWait(waiter.Spin{}))
 	if got := m.Name(); got != NameMCS {
 		t.Errorf("MCS-park built WithWait(Spin) reports %q, want %q", got, NameMCS)
+	}
+	specs := 0
+	for _, spec := range All() {
+		if !spec.RW || spec.Name == NameStdRW {
+			continue
+		}
+		specs++
+		for _, p := range []waiter.Policy{waiter.SpinThenPark{}, waiter.Park{}} {
+			m := spec.Build(testEnv(2), WithWait(p))
+			if got, want := m.Name(), spec.Name+p.Suffix(); got != want {
+				t.Errorf("%s built WithWait(%s) reports %q, want %q", spec.Name, p.Name(), got, want)
+			}
+			gate, ok := m.(interface{ Inner() locks.TimedMutex })
+			if !ok {
+				t.Fatalf("%s: built lock exposes no writer gate", spec.Name)
+			}
+			if got := gate.Inner().Name(); !strings.HasSuffix(got, p.Suffix()) {
+				t.Errorf("%s built WithWait(%s): gate reports %q, want the %q suffix", spec.Name, p.Name(), got, p.Suffix())
+			}
+		}
+	}
+	if specs != 6 {
+		t.Errorf("checked %d -rw specs, want 6", specs)
 	}
 }
 

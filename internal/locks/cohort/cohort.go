@@ -16,6 +16,12 @@
 // detection (is a same-socket thread waiting?). This matches the paper's
 // description and exposes exactly why such locks need Ω(sockets) space:
 // one padded local lock per socket, plus G.
+//
+// The components are the library's own locks: an MCS local (MCSLocal)
+// is a locks.Queue of the threads' nodes whose grant value carries the
+// pass, a ticket local (TicketLocal) is a locks.Ticket plus a pass flag,
+// and each global (locks.BackoffTAS, locks.Ticket,
+// locks.PartitionedTicket) is used as it is.
 package cohort
 
 import (
@@ -66,7 +72,7 @@ type TimedLocal interface {
 	// LockTimeout attempts the local acquisition until the deadline.
 	// acquired=false means expiry: no local lock, and the slot has been
 	// released (slot must be t's top nesting slot; expiry settles
-	// through locks.Thread.Expire, which releases it), so the caller
+	// through locks.Thread.Retire, which releases it), so the caller
 	// must not release it again. globalPassed has Lock's meaning when
 	// acquired.
 	LockTimeout(t *locks.Thread, slot int, deadline time.Time) (acquired, globalPassed bool)

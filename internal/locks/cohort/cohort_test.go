@@ -131,7 +131,7 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("New with no locals did not panic")
 		}
 	}()
-	New("X", boGlobal{locks.DefaultBackoffTAS()}, nil, 1)
+	New("X", locks.DefaultBackoffTAS(), nil, 1)
 }
 
 func TestMaxLocalPassesNormalised(t *testing.T) {

@@ -20,11 +20,11 @@ var (
 
 // MCSLocal is an MCS lock extended with cohort passing: release can hand
 // the successor a flag saying the global lock travels with the local one.
-// It queues the threads' own nodes (locks.Node, at the composite's
-// nesting slot) and follows their Grant / AwaitNext / Thread.Expire
-// protocol, so it is its tail word and its waiting policy.
+// It is a locks.Queue of the threads' own nodes (locks.Node, at the
+// composite's nesting slot), so it is its tail word and its waiting
+// policy.
 type MCSLocal struct {
-	tail atomic.Pointer[locks.Node]
+	q    locks.Queue
 	wait waiter.Policy
 }
 
@@ -36,53 +36,27 @@ func (l *MCSLocal) SetWait(p waiter.Policy) { l.wait = p }
 
 // Lock implements Local.
 func (l *MCSLocal) Lock(t *locks.Thread, slot int) bool {
-	n := t.Node(slot)
-	n.ClearNext()
-	prev := l.tail.Swap(n)
-	if prev == nil {
-		return false
-	}
-	// Contended: as in locks.MCS, the spin word and park residue are
-	// cleared here, before the link publishes the node.
-	n.Spin.Store(nil)
-	l.wait.Prepare(&n.Wait)
-	prev.Next.Store(n)
-	l.wait.Wait(&n.Wait, n.Ready)
-	return n.Spin.Load() == gotPass
+	return l.q.Lock(t.Node(slot), l.wait) == gotPass
 }
 
 // LockTimeout is the timed Local acquisition (C-BO-MCS's composite
-// LockTimeout uses it): the locks.Node abandonment protocol (see
-// locks.TSClean). acquired=false means the deadline passed without the
-// local lock: the node stays queued as a tombstone, and Thread.Expire
-// has given t a fresh node for the slot and released the slot.
-// globalPassed has Lock's meaning when acquired.
+// LockTimeout uses it): locks.Queue.LockUntil. acquired=false means the
+// deadline passed without the local lock: the node stays queued as a
+// tombstone, and Thread.Retire has given t a fresh node for the slot
+// and released the slot. globalPassed has Lock's meaning when acquired.
 func (l *MCSLocal) LockTimeout(t *locks.Thread, slot int, deadline time.Time) (acquired, globalPassed bool) {
-	n := t.Node(slot)
-	n.ClearNext()
-	// Arm before the tail swap publishes the node: a releaser must never
-	// observe this (timed) node unarmed.
-	n.Spin.Store(nil)
-	l.wait.Prepare(&n.Wait)
-	n.TState.Store(locks.TSArmed)
-	if prev := l.tail.Swap(n); prev != nil {
-		prev.Next.Store(n)
-		if !l.wait.WaitUntil(&n.Wait, n.Ready, deadline) && !t.Expire(n) {
-			return false, false
-		}
+	v, ok := l.q.LockUntil(t.Node(slot), l.wait, deadline)
+	if !ok {
+		t.Retire()
 	}
-	n.TState.Store(locks.TSClean)
-	return true, n.Spin.Load() == gotPass
+	return ok, v == gotPass
 }
 
-// TryLock implements Local: one CAS on the empty local tail. Entering
-// an empty local queue can never receive a cohort pass (passing
-// requires a linked waiter), so globalPassed is always false on
-// success.
+// TryLock implements Local: it enters only an empty local queue, which
+// can never receive a cohort pass (passing requires a linked waiter),
+// so globalPassed is always false.
 func (l *MCSLocal) TryLock(t *locks.Thread, slot int) (acquired, globalPassed bool) {
-	n := t.Node(slot)
-	n.ClearNext()
-	return l.tail.CompareAndSwap(nil, n), false
+	return l.q.TryLock(t.Node(slot)), false
 }
 
 // Unlock implements Local. delivered reports whether the handover (and
@@ -97,75 +71,50 @@ func (l *MCSLocal) Unlock(t *locks.Thread, slot int, passGlobal bool) (delivered
 	if passGlobal {
 		v = gotPass
 	}
-	n := t.Node(slot)
-	for {
-		next := n.Next.Load()
-		if next == nil {
-			if l.tail.CompareAndSwap(n, nil) {
-				return false // queue drained: nothing delivered
-			}
-			next = n.AwaitNext()
-		}
-		if next.Grant(l.wait, v) {
-			return true
-		}
-		n = next
-	}
+	return l.q.Unlock(t.Node(slot), l.wait, v)
 }
 
 // HasWaiter implements Local.
 func (l *MCSLocal) HasWaiter(t *locks.Thread, slot int) bool {
-	n := t.Node(slot)
-	return n.Next.Load() != nil || l.tail.Load() != n
+	return l.q.HasWaiter(t.Node(slot))
 }
 
 // ---- Local ticket with cohort passing (the "TKT" of C-TKT-TKT) ----
 
-// TicketLocal is a ticket lock extended with cohort passing. Like the
+// TicketLocal is a locks.Ticket extended with cohort passing. Like the
 // top-level ticket lock, release names no particular waiter, so waiting
 // runs through the policy's WaitGlobal (proportional backoff; parking
 // policies degrade to yields).
 type TicketLocal struct {
-	state atomic.Uint64 // next<<32 | grant
-	wait  waiter.Policy
-	// passFlag is written by the releasing holder before it bumps grant
-	// and read by the next holder after it observes its grant; the grant
-	// store/load pair orders the accesses.
-	passFlag atomic.Uint32
+	locks.Ticket
+	// passFlag is written by the releasing holder before it serves the
+	// next ticket and read by the next holder after it observes its
+	// grant; the grant store/load pair orders the accesses.
+	passFlag atomic.Bool
 }
 
 // NewTicketLocal returns a cohort-capable ticket local lock.
-func NewTicketLocal() *TicketLocal { return &TicketLocal{wait: waiter.Default} }
-
-// SetWait implements waiter.Setter. Call before the lock is shared.
-func (l *TicketLocal) SetWait(p waiter.Policy) { l.wait = p }
+func NewTicketLocal() *TicketLocal {
+	l := new(TicketLocal)
+	l.SetWait(waiter.Default)
+	return l
+}
 
 // Lock implements Local.
 func (l *TicketLocal) Lock(t *locks.Thread, slot int) bool {
-	ticket := uint32(l.state.Add(1<<32)>>32) - 1
-	if uint32(l.state.Load()) != ticket {
-		l.wait.WaitGlobal(func() uint32 { return ticket - uint32(l.state.Load()) })
-	}
-	return l.passFlag.Load() != 0
+	l.Ticket.Lock(t)
+	return l.passFlag.Load()
 }
 
-// TryLock implements Local: claim a ticket only when it would be served
-// immediately (a CAS over the whole state word, as in locks.Ticket).
-// Unlike the empty-queue MCS case, an immediately served ticket can
-// carry a cohort pass: the previous holder may have set passFlag for a
-// waiter that timed out of existence — but passFlag=1 implies a waiter
-// existed at release time and consumed the grant, so a free lock always
-// has passFlag=0 and globalPassed is false in practice; it is read
-// anyway to keep the Local contract uniform.
+// TryLock implements Local: locks.Ticket.TryLock. passFlag=true implies
+// a waiter existed at release time and consumed the grant, so a free
+// lock always has passFlag=false and globalPassed is false in practice;
+// it is read anyway to keep the Local contract uniform.
 func (l *TicketLocal) TryLock(t *locks.Thread, slot int) (acquired, globalPassed bool) {
-	v := l.state.Load()
-	if uint32(v>>32) != uint32(v) {
+	if !l.Ticket.TryLock(t) {
 		return false, false
 	}
-	if !l.state.CompareAndSwap(v, v+1<<32) {
-		return false, false
-	}
-	return true, l.passFlag.Load() != 0
+	return true, l.passFlag.Load()
 }
 
 // Unlock implements Local. A drawn ticket is never abandoned (the
@@ -173,34 +122,20 @@ func (l *TicketLocal) TryLock(t *locks.Thread, slot int) (acquired, globalPassed
 // pass always reaches the waiter HasWaiter saw: delivered is simply
 // passGlobal.
 func (l *TicketLocal) Unlock(t *locks.Thread, slot int, passGlobal bool) (delivered bool) {
-	if passGlobal {
-		l.passFlag.Store(1)
-	} else {
-		l.passFlag.Store(0)
-	}
-	l.state.Add(1)
+	l.passFlag.Store(passGlobal)
+	l.Ticket.Unlock(t)
 	return passGlobal
 }
 
 // HasWaiter implements Local.
-func (l *TicketLocal) HasWaiter(t *locks.Thread, slot int) bool {
-	v := l.state.Load()
-	return uint32(v>>32) > uint32(v)+1
-}
-
-// ---- Global adapters ----
-
-// boGlobal adapts BackoffTAS (thread-oblivious: the releaser just clears
-// the word) to the Global interface.
-type boGlobal struct{ *locks.BackoffTAS }
-
-// tktGlobal adapts Ticket (thread-oblivious: Unlock bumps grant).
-type tktGlobal struct{ *locks.Ticket }
-
-// ptlGlobal adapts PartitionedTicket.
-type ptlGlobal struct{ *locks.PartitionedTicket }
+func (l *TicketLocal) HasWaiter(t *locks.Thread, slot int) bool { return l.HasWaiters() }
 
 // ---- The paper's three cohort variants ----
+//
+// Their globals are registry locks used as they are: each is
+// thread-oblivious (BackoffTAS clears its word, Ticket and
+// PartitionedTicket serve the next ticket), and the backoff TAS is
+// also a TimedGlobal.
 
 // NewCBOMCS builds C-BO-MCS: backoff test-and-set global, MCS locals.
 // The paper reports it as the best-performing Cohort variant.
@@ -209,7 +144,7 @@ func NewCBOMCS(sockets, maxLocalPasses int) *Lock {
 	for i := range local {
 		local[i] = NewMCSLocal()
 	}
-	return New("C-BO-MCS", boGlobal{locks.DefaultBackoffTAS()}, local, maxLocalPasses)
+	return New("C-BO-MCS", locks.DefaultBackoffTAS(), local, maxLocalPasses)
 }
 
 // NewCTKTTKT builds C-TKT-TKT: ticket global, ticket locals.
@@ -218,7 +153,7 @@ func NewCTKTTKT(sockets, maxLocalPasses int) *Lock {
 	for i := range local {
 		local[i] = NewTicketLocal()
 	}
-	return New("C-TKT-TKT", tktGlobal{locks.NewTicket()}, local, maxLocalPasses)
+	return New("C-TKT-TKT", locks.NewTicket(), local, maxLocalPasses)
 }
 
 // NewCPTLTKT builds C-PTL-TKT: partitioned-ticket global (one slot per
@@ -228,5 +163,5 @@ func NewCPTLTKT(sockets, maxLocalPasses int) *Lock {
 	for i := range local {
 		local[i] = NewTicketLocal()
 	}
-	return New("C-PTL-TKT", ptlGlobal{locks.NewPartitionedTicket(sockets)}, local, maxLocalPasses)
+	return New("C-PTL-TKT", locks.NewPartitionedTicket(sockets), local, maxLocalPasses)
 }

@@ -54,8 +54,9 @@
 //
 // TryLock bypasses the gate entirely and probes the inner lock:
 // concurrency restriction bounds who may *wait*, and a TryLock never
-// waits (see waiter.TryPolicy). A non-positive LockTimeout degrades to
-// TryLock per the TimedMutex contract and inherits the bypass.
+// waits (see the TryLock waiter-state tests in internal/locks). A
+// non-positive LockTimeout degrades to TryLock per the TimedMutex
+// contract and inherits the bypass.
 package gcr
 
 import (

@@ -6,13 +6,12 @@
 // space cost CNA eliminates: one padded queue per socket plus a root
 // queue, versus CNA's single word.
 //
-// The leaf queues queue the threads' own nodes (locks.Node) and follow
-// its Grant / AwaitNext / Thread.Expire protocol, as MCS does; only the
-// root nodes, one per socket, belong to the lock.
+// The leaf queues and the root queue are locks.Queues. The leaves queue
+// the threads' own nodes (locks.Node), as MCS does; only the root
+// nodes, one per socket, belong to the lock.
 package hmcs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/locks"
@@ -38,7 +37,7 @@ var (
 // consecutive cohort passes (the hierarchical structure that makes HMCS
 // cost Ω(sockets) space). One cache line.
 type leaf struct {
-	tail atomic.Pointer[locks.Node]
+	q locks.Queue
 	// root is the socket's node in the root queue. A representative
 	// whose timed root wait expires leaves it there as a tombstone and
 	// installs a fresh one before it releases the leaf.
@@ -51,7 +50,7 @@ type leaf struct {
 
 // HMCS is a two-level hierarchical MCS lock.
 type HMCS struct {
-	rootTail  atomic.Pointer[locks.Node]
+	root      locks.Queue
 	leaves    []*leaf
 	wait      waiter.Policy
 	threshold uint64
@@ -91,110 +90,74 @@ func (l *HMCS) EnableStats() {
 	}
 }
 
-// Lock acquires the lock for t.
-func (l *HMCS) Lock(t *locks.Thread) {
-	lf := l.leaves[t.Socket]
-	me := t.Node(t.AcquireSlot())
-	me.ClearNext()
-	prev := lf.tail.Swap(me)
-	if prev != nil {
-		// Contended: as in locks.MCS, the spin word and park residue are
-		// cleared here, before the link publishes the node.
-		me.Spin.Store(nil)
-		l.wait.Prepare(&me.Wait)
-		prev.Next.Store(me)
-		l.wait.Wait(&me.Wait, me.Ready)
-	}
-	if prev == nil || me.Spin.Load() == acquireRoot {
-		// We are the socket's representative: acquire the root queue
-		// with the leaf's root node.
-		rn := lf.root
-		rn.ClearNext()
-		if rprev := l.rootTail.Swap(rn); rprev != nil {
-			rn.Spin.Store(nil)
-			l.wait.Prepare(&rn.Wait)
-			rprev.Next.Store(rn)
-			l.wait.Wait(&rn.Wait, rn.Ready)
-		}
-	}
+// record counts an acquisition by t when statistics are on.
+func (l *HMCS) record(t *locks.Thread) {
 	if h := l.handover; h != nil {
 		h.Record(t.Socket)
 	}
 }
 
-// LockTimeout implements locks.TimedMutex: the locks.Node abandonment
-// protocol (see locks.TSClean) at both levels. A waiter that times out
-// in the leaf queue abandons its own node (Thread.Expire); a
-// representative that times out in the root queue abandons the leaf's
-// root node, installs a fresh one, and then releases the leaf it won —
+// Lock acquires the lock for t. A waiter granted a cohort pass holds
+// the composite lock; one that entered an empty leaf queue, or was
+// promoted with acquireRoot, is its socket's representative and
+// acquires the root queue with the leaf's root node.
+func (l *HMCS) Lock(t *locks.Thread) {
+	lf := l.leaves[t.Socket]
+	if lf.q.Lock(t.Node(t.AcquireSlot()), l.wait) != cohortPass {
+		l.root.Lock(lf.root, l.wait)
+	}
+	l.record(t)
+}
+
+// LockTimeout implements locks.TimedMutex: Queue.LockUntil at both
+// levels, with one deadline. A waiter that times out in the leaf queue
+// retires its own node (Thread.Retire); a representative that times
+// out in the root queue leaves the leaf's root node there as a
+// tombstone, installs a fresh one, and then releases the leaf it won —
 // promoting a successor to representative or freeing the socket queue.
+// An at-the-buzzer promotion carries the expired deadline to the root
+// and gives up there in O(1) if it is contended.
 func (l *HMCS) LockTimeout(t *locks.Thread, d time.Duration) bool {
 	lf := l.leaves[t.Socket]
 	me := t.Node(t.AcquireSlot())
 	deadline := time.Now().Add(d)
-	me.ClearNext()
-	// Arm before the tail swap publishes the node: a releaser must
-	// never observe this (timed) node unarmed.
-	me.Spin.Store(nil)
-	l.wait.Prepare(&me.Wait)
-	me.TState.Store(locks.TSArmed)
-	if prev := lf.tail.Swap(me); prev != nil {
-		prev.Next.Store(me)
-		if !l.wait.WaitUntil(&me.Wait, me.Ready, deadline) && !t.Expire(me) {
+	v, ok := lf.q.LockUntil(me, l.wait, deadline)
+	if !ok {
+		t.Retire()
+		return false
+	}
+	if v != cohortPass {
+		if _, ok := l.root.LockUntil(lf.root, l.wait, deadline); !ok {
+			lf.root = locks.NewNode()
+			lf.q.Unlock(me, l.wait, acquireRoot)
+			t.ReleaseSlot()
 			return false
 		}
 	}
-	me.TState.Store(locks.TSClean)
-	if me.Spin.Load() != cohortPass {
-		// Representative (an at-the-buzzer promotion carries the expired
-		// deadline to the root and gives up there in O(1) if contended).
-		rn := lf.root
-		rn.ClearNext()
-		rn.Spin.Store(nil)
-		l.wait.Prepare(&rn.Wait)
-		rn.TState.Store(locks.TSArmed)
-		if prev := l.rootTail.Swap(rn); prev != nil {
-			prev.Next.Store(rn)
-			if !l.wait.WaitUntil(&rn.Wait, rn.Ready, deadline) && rn.Abandon() {
-				lf.root = locks.NewNode()
-				l.release(&lf.tail, me, acquireRoot)
-				t.ReleaseSlot()
-				return false
-			}
-		}
-		rn.TState.Store(locks.TSClean)
-	}
-	if h := l.handover; h != nil {
-		h.Record(t.Socket)
-	}
+	l.record(t)
 	return true
 }
 
-// TryLock implements locks.Mutex: one CAS on the empty leaf tail, then
-// one CAS on the empty root tail. When the root is busy we leave the
-// leaf as a representative that never owned the lock does: the queue is
-// freed, or a successor that linked in behind us meanwhile is promoted
-// to representative (acquireRoot), exactly the handoff an
+// TryLock implements locks.Mutex: enter the empty leaf queue, then the
+// empty root queue. When the root is busy we leave the leaf as a
+// representative that never owned the lock does: the queue is freed,
+// or a successor that linked in behind us meanwhile is promoted to
+// representative (acquireRoot), exactly the handoff an
 // exhausted-budget Unlock performs. Either way a failed TryLock ends
 // with no queue presence and the nesting slot returned.
 func (l *HMCS) TryLock(t *locks.Thread) bool {
 	lf := l.leaves[t.Socket]
 	me := t.Node(t.AcquireSlot())
-	me.ClearNext()
-	if !lf.tail.CompareAndSwap(nil, me) {
+	if !lf.q.TryLock(me) {
 		t.ReleaseSlot()
 		return false
 	}
-	rn := lf.root
-	rn.ClearNext()
-	if !l.rootTail.CompareAndSwap(nil, rn) {
-		l.release(&lf.tail, me, acquireRoot)
+	if !l.root.TryLock(lf.root) {
+		lf.q.Unlock(me, l.wait, acquireRoot)
 		t.ReleaseSlot()
 		return false
 	}
-	if h := l.handover; h != nil {
-		h.Record(t.Socket)
-	}
+	l.record(t)
 	return true
 }
 
@@ -215,28 +178,10 @@ func (l *HMCS) Unlock(t *locks.Thread) {
 	}
 	// Either the budget is exhausted or no live successor is linked
 	// from n (our node or a tombstone): release the root queue, then
-	// the leaf queue.
+	// the leaf queue from n.
 	lf.passes = 0
-	l.release(&l.rootTail, lf.root, cohortPass)
-	l.release(&lf.tail, n, acquireRoot)
-}
-
-// release releases the queue whose tail is tail from n: it grants v to
-// the first live successor, skipping tombstones, or empties the queue.
-func (l *HMCS) release(tail *atomic.Pointer[locks.Node], n, v *locks.Node) {
-	for {
-		next := n.Next.Load()
-		if next == nil {
-			if tail.CompareAndSwap(n, nil) {
-				return
-			}
-			next = n.AwaitNext()
-		}
-		if next.Grant(l.wait, v) {
-			return
-		}
-		n = next
-	}
+	l.root.Unlock(lf.root, l.wait, cohortPass)
+	lf.q.Unlock(n, l.wait, acquireRoot)
 }
 
 // Name implements locks.Mutex.

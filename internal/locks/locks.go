@@ -28,6 +28,16 @@
 // the same Thread, which is the discipline every workload in this repo
 // (and the kernel) follows.
 //
+// # The MCS queue
+//
+// Queue holds the MCS protocol once for all of them: the tail word, the
+// enqueue (Lock, and TryLock into an empty queue), the timed enqueue
+// with Scott-&-Scherer abandonment (LockUntil; an expired thread
+// retires its node with Thread.Retire) and the release walk that skips
+// abandoned nodes (Unlock). MCS, MCSCR's enqueue, both HMCS levels, the
+// cohort MCS locals and CNA's timed and try paths call it; CNA's
+// untimed paths and MCSCR's culling release walk the links themselves.
+//
 // # Waiting policies
 //
 // Every queue lock waits through a pluggable waiter.Policy (see
@@ -152,10 +162,11 @@ type Mutex interface {
 	// TryLock attempts a single non-blocking acquisition for t: it
 	// returns true iff the mutex was free and is now held. A TryLock —
 	// failed or successful — never joins a wait queue and never touches
-	// the waiter substrate (see waiter.TryPolicy); the composed fast
-	// path of Fissile Locks (Dice & Kogan 2020) is built from exactly
-	// this operation in front of the queue machinery. On failure the
-	// thread's nesting slot is not consumed.
+	// the waiter substrate (pinned by the TestTryLockNeverTouchesWaiterState
+	// tests here and in internal/core); the composed fast path of Fissile
+	// Locks (Dice & Kogan 2020) is built from exactly this operation in
+	// front of the queue machinery. On failure the thread's nesting slot
+	// is not consumed.
 	TryLock(t *Thread) bool
 	// Unlock releases the mutex. It must be called by the thread that
 	// holds it (cohort-style global locks relax this internally, but the

@@ -1,7 +1,6 @@
 package locks
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/waiter"
@@ -29,7 +28,7 @@ import (
 // of yielding in a loop for its entire (unbounded) passive tenure.
 // TestMalthusianPassiveWaitersPark pins this.
 type Malthusian struct {
-	tail atomic.Pointer[Node]
+	q    Queue
 	wait waiter.Policy
 
 	// passive is the culled-waiter stack; only the lock holder touches
@@ -84,47 +83,27 @@ func (l *Malthusian) SetWait(p waiter.Policy) { l.wait = p }
 // culled thread never leaves this wait — its node moves to the passive
 // list while it keeps waiting (parked, under a parking policy) until a
 // revive handover grants its spin word.
-func (l *Malthusian) Lock(t *Thread) {
-	n := t.Node(t.AcquireSlot())
-	n.Next.Store(nil)
-	n.Spin.Store(nil)
-	prev := l.tail.Swap(n)
-	if prev != nil {
-		l.wait.Prepare(&n.Wait)
-		prev.Next.Store(n)
-		l.wait.Wait(&n.Wait, n.Ready)
-	}
-}
+func (l *Malthusian) Lock(t *Thread) { l.q.Lock(t.Node(t.AcquireSlot()), l.wait) }
 
-// LockTimeout implements TimedMutex via the Node TState protocol (see
-// node.go). Abandoned nodes stay in the main queue until a release's
-// skip walk passes them — they are never culled (see Unlock), so the
-// passive list never holds a timed node.
+// LockTimeout implements TimedMutex via Queue.LockUntil. Abandoned
+// nodes stay in the main queue until a release's skip walk passes them
+// — they are never culled (see Unlock), so the passive list never holds
+// a timed node.
 func (l *Malthusian) LockTimeout(t *Thread, d time.Duration) bool {
-	n := t.Node(t.AcquireSlot())
-	deadline := time.Now().Add(d)
-	n.Next.Store(nil)
-	n.Spin.Store(nil)
-	l.wait.Prepare(&n.Wait)
-	n.TState.Store(TSArmed)
-	if prev := l.tail.Swap(n); prev != nil {
-		prev.Next.Store(n)
-		if !l.wait.WaitUntil(&n.Wait, n.Ready, deadline) && !t.Expire(n) {
-			return false
-		}
+	if _, ok := l.q.LockUntil(t.Node(t.AcquireSlot()), l.wait, time.Now().Add(d)); !ok {
+		t.Retire()
+		return false
 	}
-	n.TState.Store(TSClean)
 	return true
 }
 
-// TryLock implements Mutex: one CAS on the empty tail, as in MCS. The
-// tail is nil only when the passive list is empty too (a releaser with
-// passive waiters hands the lock directly to one instead of freeing
-// it), so a successful TryLock can never interleave with a revive.
+// TryLock implements Mutex: it enters only an empty queue, as in MCS.
+// The tail is nil only when the passive list is empty too (a releaser
+// with passive waiters hands the lock directly to one instead of
+// freeing it), so a successful TryLock can never interleave with a
+// revive.
 func (l *Malthusian) TryLock(t *Thread) bool {
-	n := t.Node(t.AcquireSlot())
-	n.Next.Store(nil)
-	if l.tail.CompareAndSwap(nil, n) {
+	if l.q.TryLock(t.Node(t.AcquireSlot())) {
 		return true
 	}
 	t.ReleaseSlot()
@@ -149,7 +128,7 @@ func (l *Malthusian) Unlock(t *Thread) {
 		if next == nil {
 			// Try to make the revived node the whole queue.
 			revived.Next.Store(nil)
-			if !l.tail.CompareAndSwap(n, revived) {
+			if !l.q.Tail.CompareAndSwap(n, revived) {
 				// A new waiter is linking in; wait and chain it behind.
 				revived.Next.Store(n.AwaitNext())
 			}
@@ -184,7 +163,7 @@ func (l *Malthusian) releaseFrom(n *Node) {
 				l.passiveHead = revived.Next.Load()
 				l.passiveLen--
 				revived.Next.Store(nil)
-				if l.tail.CompareAndSwap(n, revived) {
+				if l.q.Tail.CompareAndSwap(n, revived) {
 					l.stats.revived++
 					// Passive nodes are never timed (see the cull gate
 					// below), so the direct handover is a plain grant.
@@ -198,7 +177,7 @@ func (l *Malthusian) releaseFrom(n *Node) {
 				revived.Next.Store(l.passiveHead)
 				l.passiveHead = revived
 				l.passiveLen++
-			} else if l.tail.CompareAndSwap(n, nil) {
+			} else if l.q.Tail.CompareAndSwap(n, nil) {
 				return
 			}
 			next = n.AwaitNext()

@@ -2,6 +2,7 @@ package locks
 
 import (
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"repro/internal/spinwait"
@@ -9,10 +10,10 @@ import (
 )
 
 // Node is the queue node of the MCS-family locks: MCS, MCSCR, CNA
-// (internal/core), HMCS's leaves and the cohort MCS locals; a reader
-// waiting for an RW lock's writer (internal/locks/rw) waits on one too,
-// on the lock's stack of waiting readers. Nodes
-// belong to threads, not to locks: a Thread holds one per nesting depth,
+// (internal/core), HMCS's leaves and the cohort MCS locals, which all
+// queue it through a Queue; a reader waiting for an RW lock's writer
+// (internal/locks/rw) waits on one too, on the lock's stack of waiting
+// readers. Nodes belong to threads, not to locks: a Thread holds one per nesting depth,
 // reuses it across acquisitions, and carries it (implicitly, via the
 // depth) from Lock to Unlock. A node is exactly one cache line (asserted
 // in node_test.go): cf. the paper's cna_node_t {spin, socket, secTail,
@@ -66,7 +67,7 @@ func NewNode() *Node { return new(Node).init() }
 // tail CAS when it is last. The abandoned node stays behind as a
 // tombstone and is garbage once a release walk has passed it: its owner
 // took a fresh node when it left (a thread for that depth, see
-// Thread.Expire; HMCS for a socket's root node), so no acquisition, of
+// Thread.Retire; HMCS for a socket's root node), so no acquisition, of
 // this lock or any other, ever waits for a tombstone to leave a queue.
 // A waiter that loses the race has the lock: it accepts the
 // at-the-buzzer grant and reports success. Untimed waiters keep TState
@@ -135,16 +136,112 @@ func (n *Node) Abandon() bool {
 }
 
 // Expire settles a timed wait on n, the node at t's top nesting depth,
-// as Abandon does. If the waiter wins, t gives the depth back and takes
-// a fresh node for it, and Expire returns false; if a releaser won, the
-// caller holds the lock and Expire returns true. A timed RW reader
-// settles its wait on the reader stack the same way, but there a grant
-// is a wake, not a read hold, and the reader retries admission once
-// more.
+// as Abandon does. If the waiter wins, t retires the depth's node (see
+// Retire) and Expire returns false; if a releaser won, Expire returns
+// true. Only the RW reader stack uses it: there a grant is a wake, not
+// a read hold, and the reader retries admission once more. Queue locks
+// settle through Queue.LockUntil and call Retire when it fails.
 func (t *Thread) Expire(n *Node) bool {
 	if n.Abandon() {
-		t.nodes[t.ReleaseSlot()] = NewNode()
+		t.Retire()
 		return false
 	}
 	return true
+}
+
+// Retire gives back t's top nesting depth, whose node a timed wait left
+// queued as a tombstone (Queue.LockUntil returned false), and gives the
+// depth a fresh node, so t's next acquisition at that depth, of any
+// lock, never waits for the tombstone.
+func (t *Thread) Retire() { t.nodes[t.ReleaseSlot()] = NewNode() }
+
+// Queue is the MCS queue every MCS-family lock here is built on: the
+// tail word, and the enqueue, timed-abandonment and release protocols
+// on the nodes it links. Locks whose release does more than grant the
+// first live successor walk the links themselves: HMCS's in-cohort
+// passes before its Unlock, and CNA's secondary queue and MCSCR's
+// culling in releases of their own that reach Tail directly.
+type Queue struct {
+	Tail atomic.Pointer[Node]
+}
+
+// Lock enqueues n and waits, through p, for a releaser's grant. It
+// returns nil when n entered an empty queue, with n's spin word and
+// waiter state untouched (the uncontended path is one plain store and
+// one swap), and otherwise the value the releaser granted.
+func (q *Queue) Lock(n *Node, p waiter.Policy) *Node {
+	n.ClearNext()
+	prev := q.Tail.Swap(n)
+	if prev == nil {
+		return nil
+	}
+	// Contended: the predecessor can reach n only through the link
+	// published below, so clearing the spin word and park residue here
+	// (rather than before the swap) does not race the handover.
+	n.Spin.Store(nil)
+	p.Prepare(&n.Wait)
+	prev.Next.Store(n)
+	p.Wait(&n.Wait, n.Ready)
+	return n.Spin.Load()
+}
+
+// LockUntil is Lock with a deadline, by the TState protocol (see
+// TSClean). It reports whether n holds the lock: with Lock's value
+// when it does, and n disarmed (TSClean). When the deadline passes
+// before a grant and the waiter wins the abandon race, it returns false
+// and n stays queued as a tombstone; the caller must never queue n
+// again (a thread's node: Thread.Retire).
+func (q *Queue) LockUntil(n *Node, p waiter.Policy, deadline time.Time) (*Node, bool) {
+	n.ClearNext()
+	// Everything is prepared and armed before the swap publishes n: a
+	// releaser must never observe a timed node unarmed, and an
+	// abandoning waiter cannot come back to finish deferred setup.
+	n.Spin.Store(nil)
+	p.Prepare(&n.Wait)
+	n.TState.Store(TSArmed)
+	if prev := q.Tail.Swap(n); prev != nil {
+		prev.Next.Store(n)
+		if !p.WaitUntil(&n.Wait, n.Ready, deadline) && n.Abandon() {
+			return nil, false
+		}
+	}
+	n.TState.Store(TSClean)
+	return n.Spin.Load(), true
+}
+
+// TryLock enqueues n only into an empty queue: one CAS on the tail in
+// place of Lock's swap. A failure publishes nothing and touches neither
+// n's spin word nor its waiter state.
+func (q *Queue) TryLock(n *Node) bool {
+	n.ClearNext()
+	return q.Tail.CompareAndSwap(nil, n)
+}
+
+// HasWaiter reports whether a node is queued behind n. Only n's owner,
+// holding the lock, may call it.
+func (q *Queue) HasWaiter(n *Node) bool {
+	return n.Next.Load() != nil || q.Tail.Load() != n
+}
+
+// Unlock releases the lock n holds (or a walk has reached): it grants v,
+// through p, to the first live successor, skipping the tombstones of
+// abandoned timed waits, and reports true; or it empties the queue and
+// reports false.
+func (q *Queue) Unlock(n *Node, p waiter.Policy, v *Node) (delivered bool) {
+	for {
+		next := n.Next.Load()
+		if next == nil {
+			// No linked successor. If the tail is still n the queue is
+			// empty; otherwise a successor swapped the tail and is
+			// about to link in: wait for the link.
+			if q.Tail.CompareAndSwap(n, nil) {
+				return false
+			}
+			next = n.AwaitNext()
+		}
+		if next.Grant(p, v) {
+			return true
+		}
+		n = next
+	}
 }

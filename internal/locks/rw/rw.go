@@ -100,11 +100,6 @@ type Option func(*Lock)
 // that holds the gate, not to writers waiting at it.
 func Neutral() Option { return func(l *Lock) { l.neutral = true } }
 
-// WriterPreference selects writer-preference mode (the default, so
-// this option exists to spell an explicit choice): readers defer to
-// waiting writers too.
-func WriterPreference() Option { return func(l *Lock) { l.neutral = false } }
-
 // Lock is the NUMA-aware reader-writer lock. Build one with New; the
 // zero value is not usable. It implements locks.RWMutex; the writer
 // methods (Lock/TryLock/LockTimeout/Unlock) carry the full TimedMutex
@@ -304,7 +299,7 @@ func (l *Lock) RUnlockAnon(hint int) bool {
 }
 
 // RTryLock implements locks.RWMutex: one admission attempt, no
-// waiting, no waiter-substrate writes (the waiter.TryPolicy contract —
+// waiting, no waiter-substrate writes (the Mutex TryLock contract —
 // the blip-retire wake is a condition-change notification to an
 // already-parked writer, not a wait of our own).
 func (l *Lock) RTryLock(t *Thread) bool {

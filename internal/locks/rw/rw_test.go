@@ -301,7 +301,7 @@ func TestNeutralMode(t *testing.T) {
 	l.RUnlock(r)
 	l.wwaiting.Add(-1)
 
-	wp := New(locks.NewStd(), 2, WriterPreference())
+	wp := New(locks.NewStd(), 2)
 	wp.wwaiting.Add(1)
 	if wp.RTryLock(r) {
 		t.Fatal("writer-preference reader ignored a waiting writer")

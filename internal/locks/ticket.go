@@ -11,8 +11,8 @@ import (
 // then wait until the grant counter reaches it. Strictly fair, one word
 // of state (two 32-bit halves of a single uint64), global spinning.
 //
-// It serves as the local and global component of the C-TKT-TKT cohort
-// variant and as the "TKT" local lock of C-PTL-TKT.
+// It is the global of the C-TKT-TKT cohort variant and, embedded in
+// cohort.TicketLocal, the local lock of C-TKT-TKT and C-PTL-TKT.
 //
 // Waiting goes through the policy's WaitGlobal with the queue distance
 // (my ticket minus the current grant) as the hint — proportional

@@ -7,10 +7,10 @@ import (
 )
 
 // White-box TryLock/waiter isolation tests: a TryLock — failed or
-// successful — runs under waiter.TryPolicy, i.e. it must never touch a
-// node's park State. These tests build park-policy locks, fail TryLocks
-// against a held lock, and assert the prober's park state never moved
-// (no park counter increment, no parked flag, for any nesting slot).
+// successful — never waits, so it must never touch a node's park
+// State. These tests build park-policy locks, fail TryLocks against a
+// held lock, and assert the prober's park state never moved (no park
+// counter increment, no parked flag, for any nesting slot).
 
 // assertUntouched fails the test if any of the thread's nodes shows
 // park activity.

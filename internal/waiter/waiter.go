@@ -248,48 +248,6 @@ type Policy interface {
 // spinning, the paper's (and the kernel's) behaviour.
 var Default Policy = Spin{}
 
-// TryPolicy is the no-op hook TryLock fast paths run under: a TryLock —
-// failed or successful — never waits, so it must never Prepare a node's
-// park State, never Wait and never owe anyone a Wake. Making that
-// contract a Policy value (rather than folklore) gives it a name the
-// lock implementations can document against and the white-box tests can
-// pin: every method is a no-op that leaves the State untouched, so a
-// failed TryLock moves no park counters no matter which policy the
-// lock's blocking paths use. Locks need not literally call it — "runs
-// under TryPolicy" means the TryLock path performs exactly these
-// no-ops.
-var TryPolicy Policy = tryPolicy{}
-
-// tryPolicy implements the no-op TryLock waiting contract.
-type tryPolicy struct{}
-
-// Name implements Policy.
-func (tryPolicy) Name() string { return "try" }
-
-// Suffix implements Policy: TryLock paths never rename a lock.
-func (tryPolicy) Suffix() string { return "" }
-
-// Prepare implements Policy: a TryLock never publishes a node, so there
-// is no park residue to clear and nothing may be written.
-func (tryPolicy) Prepare(st *State) {}
-
-// Wait implements Policy: a TryLock never waits; the grant either
-// already happened or the attempt has failed.
-func (tryPolicy) Wait(st *State, ready func() bool) {}
-
-// WaitUntil implements Policy: a TryLock-style attempt succeeds only if
-// the grant already happened.
-func (tryPolicy) WaitUntil(st *State, ready func() bool, deadline time.Time) bool {
-	return ready()
-}
-
-// WaitGlobal implements Policy: likewise for global-spin locks.
-func (tryPolicy) WaitGlobal(dist func() uint32) {}
-
-// Wake implements Policy: a TryLock never parks anyone, so there is
-// never a wake to post.
-func (tryPolicy) Wake(st *State) {}
-
 // proportionalCap bounds how many pause units WaitGlobal burns between
 // renewed distance reads: far-away tickets must not commit to stale
 // distances for too long (the queue may drain faster than estimated).
