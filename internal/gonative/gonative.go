@@ -25,16 +25,21 @@
 // every acquisition through the adapter runs at nesting depth 0, so
 // MCS, MCSCR, CNA, HMCS's leaves and the cohort MCS locals queue that
 // node for whichever lock the slot is claimed for, and those locks hold
-// no per-thread nodes of their own. A claim
-// starts at the slot a hash of the goroutine's stack address picks —
-// cheap, goroutine-correlated, and stable, so repeat acquisitions from
-// one goroutine reclaim the very slot it just released, its queue-node
-// cache line still hot — and CASes that slot's busy word from 0 to 1,
-// probing linearly on failure. A release is one store of 0 to the
+// no per-thread nodes of their own.
+//
+// A claim starts at the slot numbered by the P (the scheduler's
+// processor) the goroutine runs on, modulo the pool's capacity, and
+// CASes that slot's busy word from 0 to 1, probing linearly on
+// failure. Goroutines that run at the same time are on different Ps,
+// so with at least GOMAXPROCS slots they start at different slots, and
+// a goroutine that runs on the same P again reclaims the slot whose
+// lines that CPU already caches. A release is one store of 0 to the
 // slot's own busy word. Claimants share no latch and no list head.
-// Each slot's socket is fixed at construction from numa.Placement (the
-// default topology round-robins slots across its sockets). The
-// contended path allocates nothing.
+// Each slot's socket is fixed at construction from numa.Placement,
+// which round-robins slots across the topology's sockets: slot k is on
+// socket k mod sockets, the read-indicator stripe the RW adapter's
+// anonymous holds take on P k. A P is not a socket; its id only keeps
+// concurrent goroutines apart. The contended path allocates nothing.
 //
 // When every slot is claimed, Lock waits (bounded spin, then scheduler
 // yields) for an Unlock to free one — the adapter never hands out more
@@ -53,7 +58,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/lockreg"
 	"repro/internal/locks"
@@ -102,10 +106,7 @@ func NewPool(capacity int, topo numa.Topology) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if topo.Validate() != nil {
-		topo = numa.TwoSocketXeonE5()
-	}
-	place := numa.NewPlacement(topo, capacity, numa.Spread)
+	place := numa.NewPlacement(topo.OrDefault(), capacity, numa.Spread)
 	p := &Pool{slots: make([]*slot, capacity)}
 	for i := range p.slots {
 		sl := new(slot)
@@ -115,27 +116,18 @@ func NewPool(capacity int, topo numa.Topology) *Pool {
 	return p
 }
 
-// hint hashes the calling goroutine's stack address into a cheap
-// goroutine-correlated 32-bit value. Goroutine stacks sit back to back
-// in 2 KB (or, once grown, larger) blocks, so their raw address bits
-// differ only in small strides; a multiplicative hash of addr>>11 that
-// keeps the product's high bits spreads such neighbours over the whole
-// range, while one goroutine at one call depth keeps hashing alike.
-// Only the hint quality depends on this — any value is correct. A
-// variable so tests can pin it.
-var hint = func() uint32 {
-	var probe byte
-	return hashStack(uintptr(unsafe.Pointer(&probe)))
+// hint returns the id of the P the calling goroutine runs on, in
+// [0, GOMAXPROCS). The goroutine may move to another P as soon as hint
+// returns; only the hint quality depends on it staying — any value is
+// correct. A variable so tests can pin it.
+var hint = func() int {
+	p := procPin()
+	procUnpin()
+	return p
 }
 
-// hashStack is hint's hash, apart so tests can feed it synthetic stack
-// addresses.
-func hashStack(addr uintptr) uint32 {
-	return uint32(uint64(addr>>11) * 0x9e3779b97f4a7c15 >> 32)
-}
-
-// start maps a hint onto a slot index in [0, n) by its high bits.
-func start(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
+// start maps a hint onto a slot index in [0, n).
+func start(h, n int) int { return h % n }
 
 // tryClaim claims a free Thread slot: one pass over the slots from the
 // hinted one, nil when every slot is busy (the claim loops and TryLock

@@ -98,6 +98,47 @@ func TestNativeConformanceMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestPartialTopologyUsesPreset: a Topology that sets only Sockets
+// fails Validate, so the lock and the slot pool handing it threads must
+// both build for the 2-socket preset. Were the lock to take its one
+// socket while the pool spread slots over two, HMCS would index past
+// its one leaf and C-BO-MCS would reject socket 1 on the first
+// acquisition from slot 1.
+func TestPartialTopologyUsesPreset(t *testing.T) {
+	const workers = 4
+	env := lockreg.Env{MaxThreads: workers, Topology: numa.Topology{Sockets: 1}}
+	for _, spec := range lockreg.All() {
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			m, err := New(spec.Name, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters := confIters(t)
+			var counter int
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						m.Lock()
+						counter++
+						m.Unlock()
+						if i%5 == 0 {
+							runtime.Gosched()
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if counter != workers*iters {
+				t.Fatalf("%s: counter = %d, want %d", spec.Name, counter, workers*iters)
+			}
+		})
+	}
+}
+
 // TestNativeConformanceTryLock pins TryLock semantics on every adapted
 // lock: success on a free lock, failure without blocking on a held one,
 // success again once released — then a mixed Lock/TryLock hammer for

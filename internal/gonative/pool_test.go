@@ -1,77 +1,133 @@
 package gonative
 
-// White-box tests of the slot pool's contract: the stack hint spreads
-// neighbouring goroutines over the slots, a goroutine reclaims the slot
-// it released with its construction-time socket, a full pool fails a
-// claim cleanly after probing every slot (wrapping around), and each
-// slot owns whole cache lines holding its Thread and PRNG state, its
-// Thread's queue node on a line pair of its own.
+// White-box tests of the slot pool's contract: P k starts its claims at
+// slot k (modulo the capacity), which sits on the socket whose read
+// stripe P k's anonymous read holds take; goroutines running at once
+// get different hints; a goroutine reclaims the slot it released with
+// its construction-time socket; a full pool fails a claim cleanly after
+// probing every slot (wrapping around); and each slot owns whole cache
+// lines holding its Thread and PRNG state, its Thread's queue node on a
+// line pair of its own.
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
-	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
-// pinHint replaces the stack hint with a settable value for the
-// duration of the test.
-func pinHint(t *testing.T) *uint32 {
+// pinHint replaces the P hint with a settable value for the duration
+// of the test.
+func pinHint(t *testing.T) *int {
 	t.Helper()
 	orig := hint
 	t.Cleanup(func() { hint = orig })
-	h := new(uint32)
-	hint = func() uint32 { return *h }
+	h := new(int)
+	hint = func() int { return *h }
 	return h
 }
 
-// TestHintSpreadsAdjacentStacks: goroutine stacks sit back to back at a
-// 2 KB (fresh) or 8 KB (grown) stride, so a hint built from low address
-// bits can put every goroutine on the same start slot. Over many
-// synthetic stack bases, two neighbouring stacks must never start at
-// the same slot of a DefaultCapacity-sized pool on two CPUs, and eight
-// neighbours must start on at least half the slots.
-func TestHintSpreadsAdjacentStacks(t *testing.T) {
-	const slots = 8
-	for _, stride := range []uintptr{2 << 10, 8 << 10} {
-		for b := 0; b < 1024; b++ {
-			base := 0xc000000000 + uintptr(b)*stride + 0x5e8 // a probe's offset inside its stack
-			seen := make(map[int]bool)
-			prev := -1
-			for k := 0; k < slots; k++ {
-				s := start(hashStack(base+uintptr(k)*stride), slots)
-				if s == prev {
-					t.Fatalf("stride %d: stacks %#x and %#x both start at slot %d", stride, base+uintptr(k-1)*stride, base+uintptr(k)*stride, s)
+// TestHintMapsPToSlotAndStripe: P k starts its claims at slot k mod n,
+// so distinct Ps below the capacity never start at one slot, and slot k
+// sits on socket k mod sockets. That socket is also the read-indicator
+// stripe rw.Lock wraps P k's anonymous read holds onto (one stripe per
+// socket), so on one P a goroutine's anonymous holds and the Thread its
+// waiting reads borrow use the same stripe.
+func TestHintMapsPToSlotAndStripe(t *testing.T) {
+	for _, topo := range []numa.Topology{numa.TwoSocketXeonE5(), numa.FourSocketXeonE7()} {
+		for _, n := range []int{1, 3, 4, 8, 100} {
+			p := NewPool(n, topo)
+			for k := 0; k < 2*n; k++ {
+				if got := start(k, n); got != k%n {
+					t.Fatalf("%d slots: P %d starts at slot %d, want %d", n, k, got, k%n)
 				}
-				prev = s
-				seen[s] = true
 			}
-			if len(seen) < slots/2 {
-				t.Fatalf("stride %d, base %#x: %d neighbouring stacks cover only %d of %d slots", stride, base, slots, len(seen), slots)
+			for k, sl := range p.slots {
+				if want := k % topo.Sockets; sl.th.Socket != want {
+					t.Fatalf("%s, %d slots: slot %d on socket %d, want P %d's stripe %d",
+						topo.Name, n, k, sl.th.Socket, k, want)
+				}
 			}
 		}
 	}
 }
 
-// TestReclaimOwnSlot: a goroutine that releases its slot gets that very
-// slot back on its next claim (its queue-node lines still hot), and the
-// slot keeps the socket it was built with, within the topology.
+// TestConcurrentHintsDiffer: while goroutine A holds its P pinned,
+// goroutine B must run on another P, so B's hint differs from A's and
+// starts at another slot of a DefaultCapacity pool; any per-goroutine
+// value, such as a hash of the stack address, would agree modulo two
+// stripes for about half of all such pairs. A pinned goroutine cannot
+// be stopped for a stop-the-world, so A waits a bounded number of spins
+// for B's sample and the attempt is retried when B missed it.
+func TestConcurrentHintsDiffer(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps to run two goroutines at once")
+	}
+	const (
+		pinned int32 = iota + 1
+		sampled
+		gaveUp
+	)
+	n := DefaultCapacity()
+	for range 1000 {
+		var state atomic.Int32
+		var pa int
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			pa = procPin()
+			state.Store(pinned)
+			for i := 0; i < 1<<22 && state.Load() == pinned; i++ {
+			}
+			state.CompareAndSwap(pinned, gaveUp)
+			procUnpin()
+		}()
+		for state.Load() == 0 {
+			runtime.Gosched()
+		}
+		pb := hint()
+		ok := state.CompareAndSwap(pinned, sampled)
+		<-done
+		if !ok {
+			continue // A stopped waiting before B sampled: retry
+		}
+		if pb == pa {
+			t.Fatalf("hint %d while another goroutine held P %d", pb, pa)
+		}
+		if sa, sb := start(pa, n), start(pb, n); sa == sb {
+			t.Fatalf("Ps %d and %d both start at slot %d of %d", pa, pb, sa, n)
+		}
+		return
+	}
+	t.Fatal("no hint was sampled while another goroutine held its P in 1000 attempts")
+}
+
+// TestReclaimOwnSlot: a claim on a free pool takes the hinted slot, a
+// claim from the same P after a release gets that very slot back (its
+// queue-node lines still hot in that CPU's cache), and the slot keeps
+// the socket it was built with, within the topology. The hint is pinned
+// because a goroutine may change P between two claims.
 func TestReclaimOwnSlot(t *testing.T) {
+	h := pinHint(t)
 	topo := numa.TwoSocketXeonE5()
 	p := NewPool(8, topo)
-	claim := func() *locks.Thread { return p.tryClaim() } // one call depth, one hint
 	for i := 0; i < 3; i++ {
-		th := claim()
+		*h = 3 * i
+		th := p.tryClaim()
 		if th == nil {
 			t.Fatal("tryClaim failed on a free pool")
+		}
+		if th.ID != *h {
+			t.Fatalf("claim hinted at slot %d on a free pool got slot %d", *h, th.ID)
 		}
 		socket := th.Socket
 		if socket < 0 || socket >= topo.Sockets {
 			t.Fatalf("slot %d on socket %d, outside [0, %d)", th.ID, socket, topo.Sockets)
 		}
 		p.release(th)
-		again := claim()
+		again := p.tryClaim()
 		if again != th {
 			t.Fatalf("reclaim got slot %d, want the just-released %d", again.ID, th.ID)
 		}
@@ -92,7 +148,7 @@ func TestFullPoolProbesWrapAround(t *testing.T) {
 	h := pinHint(t)
 	const n = 4
 	p := NewPool(n, numa.TwoSocketXeonE5())
-	*h = ^uint32(0) // start at slot n-1
+	*h = n - 1
 	for k := 0; k < n; k++ {
 		th := p.tryClaim()
 		if th == nil {

@@ -9,11 +9,13 @@ package gonative
 // none: many goroutines hold the lock together, and sync.RWMutex
 // semantics let a different goroutine RUnlock a hold, so read holds are
 // the inner lock's anonymous holds (rw.Lock.RTryLockAnon). RLock makes
-// one admission attempt on the indicator stripe the goroutine's stack
-// hint picks — no slot, no Thread — and only a reader that must wait
-// for a writer borrows a slot to wait on its thread's node, adopting
-// the hold into anonymous form and returning the slot before its
-// critical section runs. RUnlock releases any one anonymous hold.
+// one admission attempt on the indicator stripe of the P the goroutine
+// runs on (P mod stripes; a P is not a socket, but readers running at
+// once are on different Ps and so spread over the stripes) — no slot,
+// no Thread — and only a reader that must wait for a writer borrows a
+// slot to wait on its thread's node, adopting the hold into anonymous
+// form and returning the slot before its critical section runs.
+// RUnlock releases any one anonymous hold.
 
 import (
 	"context"
@@ -105,7 +107,7 @@ func (m *RWMutex) Unlock() {
 // attempt; a reader turned away by a writer borrows a slot to wait on,
 // adopts the hold it gets, and returns the slot.
 func (m *RWMutex) RLock() {
-	if m.inner.RTryLockAnon(int(hint())) {
+	if m.inner.RTryLockAnon(hint()) {
 		return
 	}
 	th := m.pool.claim()
@@ -120,7 +122,7 @@ func (m *RWMutex) RLock() {
 // RUnlock implements locks.NativeRWMutex: release any one read hold
 // (read holds are counted, not owned — sync.RWMutex semantics).
 func (m *RWMutex) RUnlock() {
-	if !m.inner.RUnlockAnon(int(hint())) {
+	if !m.inner.RUnlockAnon(hint()) {
 		panic("gonative: RUnlock of an un-read-locked " + m.inner.Name())
 	}
 }
@@ -128,7 +130,7 @@ func (m *RWMutex) RUnlock() {
 // TryRLock implements locks.NativeRWMutex: one anonymous admission
 // attempt, so it never fails for lack of a slot.
 func (m *RWMutex) TryRLock() bool {
-	return m.inner.RTryLockAnon(int(hint()))
+	return m.inner.RTryLockAnon(hint())
 }
 
 // RLockTimeout implements locks.NativeRWMutex: RLock whose slot claim

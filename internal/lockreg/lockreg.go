@@ -101,18 +101,15 @@ type Env struct {
 	// own (CLH) size it by this bound.
 	MaxThreads int
 	// Topology is the (virtual) NUMA machine; its socket count sizes the
-	// hierarchical locks. A zero Topology means the paper's primary
-	// 2-socket machine.
+	// hierarchical locks. A Topology that fails Validate (the zero one
+	// included) means the paper's primary 2-socket machine
+	// (numa.Topology.OrDefault).
 	Topology numa.Topology
 }
 
-// Sockets returns the topology's socket count (at least 1).
-func (e Env) Sockets() int {
-	if e.Topology.Sockets < 1 {
-		return numa.TwoSocketXeonE5().Sockets
-	}
-	return e.Topology.Sockets
-}
+// Sockets returns the socket count of e.Topology.OrDefault(), the
+// topology gonative's slot pools place their threads on too.
+func (e Env) Sockets() int { return e.Topology.OrDefault().Sockets }
 
 // Threads returns the thread-ID bound (at least 1).
 func (e Env) Threads() int {

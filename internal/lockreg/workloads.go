@@ -112,7 +112,7 @@ func ResolveWorkloads(list string) ([]WorkloadSpec, error) {
 func kernelLocking(spec Spec, env Env, threads int) *kernelsim.MutexLocking {
 	e := env
 	e.MaxThreads = threads
-	place := numa.NewPlacement(e.Topology, threads, numa.Spread)
+	place := numa.NewPlacement(e.Topology.OrDefault(), threads, numa.Spread)
 	return kernelsim.NewMutexLocking(func() locks.Mutex { return spec.Build(e) }, threads, place.SocketOf)
 }
 

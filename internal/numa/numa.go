@@ -47,10 +47,26 @@ func (t Topology) NumCPUs() int {
 
 // Validate reports whether the topology is well-formed.
 func (t Topology) Validate() error {
-	if t.Sockets <= 0 || t.CoresPerSocket <= 0 || t.ThreadsPerCore <= 0 {
+	if !t.valid() {
 		return fmt.Errorf("numa: invalid topology %+v", t)
 	}
 	return nil
+}
+
+func (t Topology) valid() bool {
+	return t.Sockets > 0 && t.CoresPerSocket > 0 && t.ThreadsPerCore > 0
+}
+
+// OrDefault returns t, or TwoSocketXeonE5 when t fails Validate (the
+// zero Topology included). Locks and the slot pools that hand them
+// threads both resolve a caller's topology through it, so they agree
+// on the socket count even when the caller set only part of it. Locks
+// call it on every build, so it allocates nothing.
+func (t Topology) OrDefault() Topology {
+	if !t.valid() {
+		return TwoSocketXeonE5()
+	}
+	return t
 }
 
 // SocketOf returns the socket that logical CPU cpu belongs to.

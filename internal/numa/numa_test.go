@@ -25,6 +25,14 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero-socket topology validated")
 	}
+	for _, partial := range []Topology{{}, bad, {Sockets: 1}} {
+		if got := partial.OrDefault(); got != TwoSocketXeonE5() {
+			t.Errorf("%+v.OrDefault() = %+v, want the 2-socket preset", partial, got)
+		}
+	}
+	if got := FourSocketXeonE7().OrDefault(); got != FourSocketXeonE7() {
+		t.Errorf("a valid topology's OrDefault is %+v", got)
+	}
 }
 
 func TestSocketOfInterleaves(t *testing.T) {
