@@ -28,14 +28,30 @@
 //     invalidation-based spinning behaves on real hardware, and it makes
 //     simulating 142 spinning threads cheap.
 //
-// Threads are goroutines, but exactly one executes at a time, selected by
-// (virtual ready time, thread id); combined with seeded PRNGs this makes
-// every simulation deterministic.
+// # Scheduling
+//
+// Each simulated thread is a coroutine (iter.Pull) that Run's loop
+// resumes, so exactly one thread executes at a time and control passes
+// between threads without the Go scheduler. Every memory operation and
+// Work ends in a scheduling point, where the thread's local clock has
+// already advanced by the operation's cost. The next thread to execute is
+// always the runnable one with the least (local virtual time, thread
+// id); combined with seeded PRNGs this makes every simulation
+// deterministic.
+//
+// Most scheduling points do not switch threads at all. When the running
+// thread still precedes every queued thread in that order, it runs ahead
+// without being queued: Run would have resumed it next anyway, so
+// operations execute in exactly the order of an event queue that
+// re-queues the thread after every operation, at a fraction of the cost.
+//
+// A panic inside a simulated thread propagates out of Run.
 package memsim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 
 	"repro/internal/numa"
 	"repro/internal/prng"
@@ -133,8 +149,7 @@ type Sim struct {
 	topo    numa.Topology
 	costs   Costs
 	threads []*T
-	queue   eventQueue
-	yielded chan struct{}
+	queue   runQueue
 	clock   uint64
 	llc     LLCStats
 	running bool
@@ -149,9 +164,8 @@ func New(topo numa.Topology, costs Costs) *Sim {
 		panic("memsim: sharer bitmask supports at most 64 sockets")
 	}
 	return &Sim{
-		topo:    topo,
-		costs:   costs,
-		yielded: make(chan struct{}),
+		topo:  topo,
+		costs: costs,
 		llc: LLCStats{
 			Hits:   make([]uint64, topo.Sockets),
 			Misses: make([]uint64, topo.Sockets),
@@ -182,18 +196,22 @@ type T struct {
 	cpu    int
 	socket int
 	now    uint64
-	resume chan struct{}
 	rng    prng.Xoroshiro
 	done   bool
 
-	// watching, when non-nil, holds the park state: the thread is waiting
-	// for the watched word to differ from watchVal.
+	// next resumes the thread's coroutine until its next scheduling point
+	// (or until fn returns); yield, called from inside the coroutine,
+	// hands control back to Run.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+
+	// watching, when non-nil, is the word the parked thread waits on.
 	watching *Word
-	watchVal uint64
 }
 
 // Spawn creates a simulated thread on the given virtual CPU running fn.
-// All Spawn calls must precede Run.
+// All Spawn calls must precede Run. fn runs as a coroutine that only Run
+// resumes; it does not start until Run selects the thread.
 func (s *Sim) Spawn(cpu int, fn func(t *T)) *T {
 	if s.running {
 		panic("memsim: Spawn after Run")
@@ -203,27 +221,34 @@ func (s *Sim) Spawn(cpu int, fn func(t *T)) *T {
 		id:     len(s.threads),
 		cpu:    cpu,
 		socket: s.topo.SocketOf(cpu),
-		resume: make(chan struct{}),
 	}
 	t.rng.Seed(uint64(t.id)*0x9e3779b97f4a7c15 + 0x1234567)
 	s.threads = append(s.threads, t)
-	go func() {
-		<-t.resume // wait for the scheduler's first grant
+	// The stop function is never called: after stop, yield returns false
+	// and the thread would run on outside the scheduler. A thread left
+	// suspended (by a deadlock or a panic elsewhere) stays suspended.
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		fn(t)
 		t.done = true
-		s.yielded <- struct{}{}
-	}()
+	})
 	return t
 }
 
-// Run executes the simulation until every thread's fn returns. It panics
-// with a diagnostic if all remaining threads are parked (a deadlock in
-// the simulated lock protocol).
+// Run executes the simulation until every thread's fn returns. Its loop
+// is the scheduler: it pops the earliest runnable thread by (local
+// clock, id) and resumes its coroutine until the thread reaches a
+// scheduling point that does not let it run ahead, parks, or returns.
+//
+// Run panics with a diagnostic if all remaining threads are parked (a
+// deadlock in the simulated lock protocol); the parked threads stay
+// suspended. A panic inside a simulated thread's fn propagates out of
+// Run with the same value, leaving the other threads suspended.
 func (s *Sim) Run() {
 	s.running = true
 	live := len(s.threads)
 	for _, t := range s.threads {
-		heap.Push(&s.queue, event{time: t.now, id: t.id, t: t})
+		heap.Push(&s.queue, t)
 	}
 	for live > 0 {
 		if s.queue.Len() == 0 {
@@ -235,13 +260,9 @@ func (s *Sim) Run() {
 			}
 			panic(fmt.Sprintf("memsim: deadlock — %d threads parked, none runnable", parked))
 		}
-		ev := heap.Pop(&s.queue).(event)
-		t := ev.t
-		if t.now > s.clock {
-			s.clock = t.now
-		}
-		t.resume <- struct{}{}
-		<-s.yielded
+		t := heap.Pop(&s.queue).(*T)
+		s.clock = max(s.clock, t.now)
+		t.next()
 		if t.done {
 			live--
 		}
@@ -260,47 +281,51 @@ func (s *Sim) Topology() numa.Topology { return s.topo }
 
 // ---- scheduler plumbing ----
 
-type event struct {
-	time uint64
-	id   int
-	t    *T
-}
+// runQueue is a heap of the runnable threads ordered by (local clock,
+// id). Ordering by the live t.now is sound because a queued thread's
+// clock never moves: only the running thread advances its own clock, and
+// chargeWrite raises a parked waiter's clock before queueing it.
+type runQueue []*T
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].id < q[j].id
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
+func (q runQueue) Len() int           { return len(q) }
+func (q runQueue) Less(i, j int) bool { return q[i].precedes(q[j]) }
+func (q runQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *runQueue) Push(x any)        { *q = append(*q, x.(*T)) }
+func (q *runQueue) Pop() any {
 	old := *q
 	n := len(old)
-	ev := old[n-1]
+	t := old[n-1]
 	*q = old[:n-1]
-	return ev
+	return t
 }
 
-// step re-enters the scheduler: the calling thread is re-queued at its
-// (already advanced) local time and blocks until selected again.
+// precedes reports whether t runs before u: earlier local clock first,
+// lower id on a tie.
+func (t *T) precedes(u *T) bool {
+	return t.now < u.now || t.now == u.now && t.id < u.id
+}
+
+// step is the scheduling point after every operation, with t's local
+// clock already advanced. If t still precedes every queued thread, Run
+// would pop t next, so t runs ahead: it advances the global clock as
+// Run would and continues without a switch. Otherwise t is queued and
+// its coroutine yields to Run.
 func (t *T) step() {
-	heap.Push(&t.sim.queue, event{time: t.now, id: t.id, t: t})
-	t.sim.yielded <- struct{}{}
-	<-t.resume
+	s := t.sim
+	if len(s.queue) == 0 || t.precedes(s.queue[0]) {
+		s.clock = max(s.clock, t.now)
+		return
+	}
+	heap.Push(&s.queue, t)
+	t.yield(struct{}{})
 }
 
-// park blocks the thread on a line watcher without re-queuing; a write
-// to the line will re-queue it.
-func (t *T) park(w *Word, seen uint64) {
+// park suspends the thread on a line watcher without queueing it; a write
+// to the line will queue it (see chargeWrite).
+func (t *T) park(w *Word) {
 	t.watching = w
-	t.watchVal = seen
 	w.line.watchers = append(w.line.watchers, t)
-	t.sim.yielded <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	t.watching = nil
 }
 
@@ -380,11 +405,11 @@ func (t *T) chargeWrite(w *Word) {
 	if len(line.watchers) > 0 {
 		for _, waiter := range line.watchers {
 			// The waiter re-fetches the line once the write lands (never
-			// moving its local clock backwards).
-			if t.now > waiter.now {
-				waiter.now = t.now
-			}
-			heap.Push(&t.sim.queue, event{time: waiter.now, id: waiter.id, t: waiter})
+			// moving its local clock backwards). Its clock is raised
+			// before it is queued: the run queue orders threads by their
+			// clocks and relies on a queued clock never moving.
+			waiter.now = max(waiter.now, t.now)
+			heap.Push(&t.sim.queue, waiter)
 		}
 		line.watchers = line.watchers[:0]
 	}
@@ -455,6 +480,6 @@ func (t *T) AwaitChange(w *Word, seen uint64) uint64 {
 			t.step()
 			return v
 		}
-		t.park(w, seen)
+		t.park(w)
 	}
 }

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -304,6 +305,116 @@ func TestCounterProperty(t *testing.T) {
 	}
 }
 
+// TestScheduleOrder pins the scheduler's order: operations execute in
+// (local clock, thread id) order, also when the running thread could run
+// ahead, and the global clock ends at the last thread's final time. The
+// threads mix Work of different lengths, private and shared lines, a CAS,
+// an AwaitChange woken first by a false-sharing store, and a time tie
+// that the lower-id queued thread must win.
+func TestScheduleOrder(t *testing.T) {
+	type entry struct {
+		now uint64
+		id  int
+	}
+	var log []entry
+	// One simulated thread executes at a time, so the log needs no lock.
+	mark := func(th *T) { log = append(log, entry{th.Now(), th.ID()}) }
+	var final [4]uint64
+
+	s := sim2()
+	shared := s.NewWord(0)
+	priv0, priv1 := s.NewWord(0), s.NewWord(0)
+	flagLine := s.NewLine()
+	flag, pad := s.NewWordOn(flagLine, 0), s.NewWordOn(flagLine, 0)
+	var casOK bool
+	var awaited uint64
+	s.Spawn(0, func(th *T) { // socket 0
+		mark(th)
+		th.Work(10) // queued at 10 while thread 1 reaches 10 too
+		mark(th)
+		th.Store(shared, 1)
+		mark(th)
+		th.Load(priv0)
+		mark(th)
+		th.Store(priv0, 1)
+		final[th.ID()] = th.Now()
+	})
+	s.Spawn(1, func(th *T) { // socket 1
+		mark(th)
+		th.Work(5)
+		mark(th)
+		th.Work(5) // ties thread 0 at 10: thread 0 goes first
+		mark(th)
+		casOK = th.CAS(shared, 1, 2)
+		mark(th)
+		th.Store(priv1, 1)
+		mark(th)
+		th.Load(priv1)
+		final[th.ID()] = th.Now()
+	})
+	s.Spawn(2, func(th *T) { // socket 0
+		mark(th)
+		awaited = th.AwaitChange(flag, 0)
+		mark(th)
+		th.Load(shared)
+		final[th.ID()] = th.Now()
+	})
+	s.Spawn(3, func(th *T) { // socket 1
+		mark(th)
+		th.Work(30)
+		mark(th)
+		th.Store(pad, 1) // false sharing: wakes thread 2, which parks again
+		mark(th)
+		th.Work(200)
+		mark(th)
+		th.Store(flag, 7)
+		mark(th)
+		th.Work(1000)
+		mark(th)
+		th.Work(1) // the last operation of the run, with nothing queued
+		final[th.ID()] = th.Now()
+	})
+	s.Run()
+
+	for i := 1; i < len(log); i++ {
+		a, b := log[i-1], log[i]
+		if b.now < a.now || b.now == a.now && b.id < a.id {
+			t.Fatalf("operation %d: thread %d ran at %d after thread %d at %d", i, b.id, b.now, a.id, a.now)
+		}
+	}
+	if want := slices.Max(final[:]); s.Clock() != want {
+		t.Errorf("Clock() = %d, want the largest final Now() %d", s.Clock(), want)
+	}
+	if !casOK {
+		t.Error("thread 1's CAS failed: it ran before thread 0's store at the same time")
+	}
+	if awaited != 7 {
+		t.Errorf("AwaitChange = %d, want 7", awaited)
+	}
+}
+
+// TestThreadPanicSurfacesFromRun checks that a panic inside a simulated
+// thread propagates out of Run with its value.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	type sentinel struct{ id int }
+	s := sim2()
+	s.Spawn(0, func(th *T) { th.Work(10) })
+	s.Spawn(1, func(th *T) {
+		th.Work(5)
+		panic(sentinel{th.ID()})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	if got != (sentinel{1}) {
+		t.Fatalf("Run panicked with %v, want %v", got, sentinel{1})
+	}
+}
+
+// BenchmarkSimEventThroughput runs one thread, so every operation runs
+// ahead without a thread switch.
 func BenchmarkSimEventThroughput(b *testing.B) {
 	s := sim2()
 	w := s.NewWord(0)
@@ -312,6 +423,26 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 			th.Load(w)
 		}
 	})
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkSimHandoff has two threads on different sockets take turns
+// storing to one line, so every operation switches threads.
+func BenchmarkSimHandoff(b *testing.B) {
+	s := sim2()
+	w := s.NewWord(0)
+	for cpu := 0; cpu < 2; cpu++ {
+		n := b.N / 2
+		if cpu == 0 {
+			n = b.N - n
+		}
+		s.Spawn(cpu, func(th *T) {
+			for i := 0; i < n; i++ {
+				th.Store(w, uint64(i))
+			}
+		})
+	}
 	b.ResetTimer()
 	s.Run()
 }
