@@ -320,13 +320,12 @@ func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 // Update applies f to the current value under key (ok reports whether
 // the key existed) and stores the result, all under the shard lock —
 // the read-modify-write the swap storm test counter-checks: a lost or
-// doubled Update would break the final sum.
+// doubled Update would break the final sum. The read and the write
+// share one skiplist walk (minikv.SkipList.Update).
 func (s *Server) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	sh := s.shardFor(key)
 	l := sh.acquire()
-	old, ok := sh.store.Get(key)
-	v := f(old, ok)
-	sh.store.Put(key, v)
+	v := sh.store.Update(key, f)
 	l.m.Unlock()
 	return v
 }

@@ -1,7 +1,9 @@
 package minikv
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -72,10 +74,143 @@ func TestSkipListMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// shuffled returns the keys 0..n-1 in a seeded random order.
+func shuffled(n int, seed uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	rng := prng.New(seed)
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+	return keys
+}
+
+// TestSkipListLevelsConsistent walks every level of a list filled in
+// random order, so tall nodes were linked between existing ones: keys
+// strictly increase along each level, each level is a subset of the
+// one below, level 0 holds Len nodes, and the head links nothing above
+// the list's height.
+func TestSkipListLevelsConsistent(t *testing.T) {
+	const n = 8 << 10
+	s := NewSkipList(5)
+	for _, k := range shuffled(n, 6) {
+		s.Put(k, k*7)
+	}
+	if s.level < 6 {
+		t.Fatalf("height %d after %d keys: the walk covers no tall nodes", s.level, n)
+	}
+	var below map[*slNode]bool
+	for lvl := 0; lvl < maxLevel; lvl++ {
+		on := map[*slNode]bool{}
+		var last *slNode
+		for x := s.head.link(lvl).Load(); x != nil; x = x.link(lvl).Load() {
+			if lvl >= s.level {
+				t.Fatalf("head links key %d on level %d, above the height %d", x.key, lvl, s.level)
+			}
+			if last != nil && x.key <= last.key {
+				t.Fatalf("level %d: key %d follows %d", lvl, x.key, last.key)
+			}
+			if lvl > 0 && !below[x] {
+				t.Fatalf("key %d is on level %d but not on level %d", x.key, lvl, lvl-1)
+			}
+			if x.value.Load() != x.key*7 {
+				t.Fatalf("key %d holds %d", x.key, x.value.Load())
+			}
+			on[x] = true
+			last = x
+		}
+		if lvl == 0 && len(on) != s.Len() {
+			t.Fatalf("level 0 holds %d nodes, Len is %d", len(on), s.Len())
+		}
+		below = on
+	}
+}
+
+// Property: Update agrees with a reference map. f sees the held value
+// and ok for present keys and (0, false) for absent ones, runs once,
+// and its result is returned and stored; Puts interleave.
+func TestSkipListUpdate(t *testing.T) {
+	f := func(seed uint64, n uint16) bool {
+		rng := prng.New(seed)
+		s := NewSkipList(seed ^ 0xdef)
+		ref := map[uint64]uint64{}
+		for i := 0; i < int(n)%500+20; i++ {
+			k, d := uint64(rng.Intn(128)), rng.Next()
+			if rng.Intn(4) == 0 {
+				s.Put(k, d)
+				ref[k] = d
+				continue
+			}
+			want, wantOK := ref[k]
+			calls := 0
+			got := s.Update(k, func(old uint64, ok bool) uint64 {
+				calls++
+				if old != want || ok != wantOK {
+					t.Errorf("Update(%d) saw (%d, %v), want (%d, %v)", k, old, ok, want, wantOK)
+				}
+				return old ^ d
+			})
+			if calls != 1 || got != want^d {
+				t.Errorf("Update(%d) called f %d times and returned %d, want once and %d", k, calls, got, want^d)
+				return false
+			}
+			ref[k] = got
+			if s.Len() != len(ref) {
+				t.Errorf("Len %d, want %d", s.Len(), len(ref))
+				return false
+			}
+		}
+		for k := uint64(0); k < 128; k++ {
+			want, wantOK := ref[k]
+			if got, ok := s.Get(k); got != want || ok != wantOK {
+				t.Errorf("Get(%d) = %d,%v want %d,%v", k, got, ok, want, wantOK)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSkipListBytesPerKey pins the memtable's compactness as
+// kvserver's TestShardLocksAreCompact pins its locks: 64 Ki keys at
+// kvserver's shard-0 seed live in at most 32 B of heap each. Nodes
+// only as tall as their level average about 27 B; full-height nodes
+// would cost 112 B.
+func TestSkipListBytesPerKey(t *testing.T) {
+	const n = 64 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSkipList(0x5e17)
+	for k := uint64(0); k < n; k++ {
+		s.Put(k, k*3+1)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	perKey := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%d keys: %.1f B of heap per key", n, perKey)
+	if perKey > 32 {
+		t.Errorf("%.1f B per key, want at most 32", perKey)
+	}
+}
+
 func TestSkipListConcurrentReadersOneWriter(t *testing.T) {
 	// The leveldb guarantee this structure exists for: readers racing a
-	// writer observe only fully-linked nodes.
+	// writer observe only fully-linked nodes. Keys go in shuffled, so
+	// tall nodes are linked between existing ones while readers walk
+	// past them; under -race, checkptr checks every inline link the
+	// walks reach. A key published before a Get starts must be found.
+	const n = 4 << 10
 	s := NewSkipList(3)
+	order := shuffled(n, 4)
+	var published atomic.Int64
 	var mu sync.Mutex // external writer lock, like the DB mutex
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -90,17 +225,25 @@ func TestSkipListConcurrentReadersOneWriter(t *testing.T) {
 					return
 				default:
 				}
-				k := uint64(rng.Intn(512))
+				k := uint64(rng.Intn(n))
 				if v, ok := s.Get(k); ok && v != k*7 {
 					t.Errorf("torn read: key %d value %d", k, v)
 					return
+				}
+				if p := published.Load(); p > 0 {
+					k := order[rng.Intn(int(p))]
+					if v, ok := s.Get(k); !ok || v != k*7 {
+						t.Errorf("published key %d read as %d,%v", k, v, ok)
+						return
+					}
 				}
 			}
 		}(uint64(r + 10))
 	}
 	mu.Lock()
-	for i := uint64(0); i < 512; i++ {
-		s.Put(i, i*7)
+	for i, k := range order {
+		s.Put(k, k*7)
+		published.Store(int64(i + 1))
 	}
 	mu.Unlock()
 	close(done)
@@ -271,5 +414,73 @@ func BenchmarkDBGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.ReadRandom(th, 10000)
+	}
+}
+
+// benchShapes are the bench's three kvserver stores as the skiplists
+// see them: kv-spread's 64 Ki keys over 16 lists with zipf 0.99
+// requests, kv-hot's 256 keys and kv-readmostly's 4 Ki keys with
+// uniform requests. Lists are seeded, filled and routed to as kvserver
+// does.
+var benchShapes = []struct {
+	name  string
+	lists int
+	keys  uint64
+	theta float64
+}{
+	{"spread", 16, 64 << 10, 0.99},
+	{"hot", 1, 256, 0},
+	{"readmostly", 1, 4 << 10, 0},
+}
+
+// benchStream is the length of the request key stream a benchmark
+// cycles through (a power of two).
+const benchStream = 1 << 16
+
+func routeKey(k uint64, lists int) int { return int(k * 0x9e3779b97f4a7c15 % uint64(lists)) }
+
+// benchStore builds a shape's filled lists and its request key stream.
+func benchStore(lists int, keys uint64, theta float64) ([]*SkipList, []uint64) {
+	ls := make([]*SkipList, lists)
+	for i := range ls {
+		ls[i] = NewSkipList(uint64(i)*0x9e3779b97f4a7c15 + 0x5e17)
+	}
+	for k := uint64(0); k < keys; k++ {
+		ls[routeKey(k, lists)].Put(k, k*3+1)
+	}
+	z := prng.NewZipf(1, theta, keys)
+	stream := make([]uint64, benchStream)
+	for i := range stream {
+		stream[i] = z.ScrambledNext()
+	}
+	return ls, stream
+}
+
+func BenchmarkSkipListGet(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			lists, keys := benchStore(sh.lists, sh.keys, sh.theta)
+			i := 0
+			for b.Loop() {
+				k := keys[i&(benchStream-1)]
+				lists[routeKey(k, len(lists))].Get(k)
+				i++
+			}
+		})
+	}
+}
+
+func BenchmarkSkipListUpdate(b *testing.B) {
+	inc := func(old uint64, _ bool) uint64 { return old + 1 }
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			lists, keys := benchStore(sh.lists, sh.keys, sh.theta)
+			i := 0
+			for b.Loop() {
+				k := keys[i&(benchStream-1)]
+				lists[routeKey(k, len(lists))].Update(k, inc)
+				i++
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@
 // Section 7.1.2 exercises it with db_bench readrandom:
 //
 //   - a skiplist memtable whose readers are lock-free (like leveldb's),
+//     with leveldb's node layout: each node is one allocation holding
+//     exactly as many links as its level, about 27 B per key;
 //   - a global database mutex taken briefly by every Get to snapshot
 //     internal structure pointers and bump reference counters,
 //   - a sharded LRU block cache whose shard mutexes are taken on every
@@ -15,19 +17,61 @@ package minikv
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/prng"
 )
 
 const maxLevel = 12
 
-// slNode is a skiplist node with atomic forward pointers so concurrent
-// readers never see a torn update (leveldb's memtable gives the same
-// guarantee).
+// slNode is a skiplist node laid out as leveldb lays out its memtable
+// nodes: the key, the value, then one link per level, all in one
+// allocation. The struct declares only the level-0 link; a node of
+// level h is allocated with h-1 more links inline after it (newNode),
+// and link reaches them. At p = 1/4 three nodes in four have level 1,
+// so a node averages 27 B of heap against 112 B for a full-height one.
+// Links are atomic so concurrent readers never see a torn update
+// (leveldb's memtable gives the same guarantee).
 type slNode struct {
 	key   uint64
 	value atomic.Uint64
-	next  [maxLevel]atomic.Pointer[slNode]
+	next  [1]atomic.Pointer[slNode]
+}
+
+// tallNode is the allocation behind a node with len(T)+1 links; T is
+// an array of links. Go has no variable-length structs, so each height
+// is its own type, which also gives the collector the exact pointer map
+// of the node.
+type tallNode[T any] struct {
+	slNode
+	more T
+}
+
+func newTall[T any]() *slNode { return &new(tallNode[T]).slNode }
+
+// newNode[h] allocates a zeroed node of level h+1. Level 1 is a bare
+// slNode: Go pads a struct that ends in a zero-length array, so
+// tallNode[[0]...] would take 32 B instead of 24.
+var newNode = [maxLevel]func() *slNode{
+	func() *slNode { return new(slNode) },
+	newTall[[1]atomic.Pointer[slNode]],
+	newTall[[2]atomic.Pointer[slNode]],
+	newTall[[3]atomic.Pointer[slNode]],
+	newTall[[4]atomic.Pointer[slNode]],
+	newTall[[5]atomic.Pointer[slNode]],
+	newTall[[6]atomic.Pointer[slNode]],
+	newTall[[7]atomic.Pointer[slNode]],
+	newTall[[8]atomic.Pointer[slNode]],
+	newTall[[9]atomic.Pointer[slNode]],
+	newTall[[10]atomic.Pointer[slNode]],
+	newTall[[11]atomic.Pointer[slNode]],
+}
+
+// link returns n's link on level lvl. lvl must be below n's level: a
+// walk only reaches a node on levels it was linked on, and the head is
+// full height.
+func (n *slNode) link(lvl int) *atomic.Pointer[slNode] {
+	return (*atomic.Pointer[slNode])(unsafe.Add(unsafe.Pointer(&n.next[0]), uintptr(lvl)*unsafe.Sizeof(n.next[0])))
 }
 
 // SkipList maps uint64 keys to uint64 values. Reads may run concurrently
@@ -45,7 +89,7 @@ type SkipList struct {
 // NewSkipList returns an empty skiplist with a deterministic level
 // generator.
 func NewSkipList(seed uint64) *SkipList {
-	return &SkipList{head: &slNode{}, level: 1, rng: prng.New(seed)}
+	return &SkipList{head: newNode[maxLevel-1](), level: 1, rng: prng.New(seed)}
 }
 
 // Len returns the number of keys (writer-side accuracy only).
@@ -62,23 +106,25 @@ func (s *SkipList) randomLevel() int {
 
 // findGreaterOrEqual locates the first node with key >= key, walking
 // down from level top-1 and filling prev with the rightmost node before
-// it on every level.
+// it on every level. It returns the level-0 successor it compared, as
+// leveldb does: loading x's link again could return a node a concurrent
+// writer has since linked in front of key.
 func (s *SkipList) findGreaterOrEqual(key uint64, top int, prev *[maxLevel]*slNode) *slNode {
 	x := s.head
+	var nxt *slNode
 	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
-			nxt := x.next[lvl].Load()
-			if nxt != nil && nxt.key < key {
-				x = nxt
-				continue
+			nxt = x.link(lvl).Load()
+			if nxt == nil || nxt.key >= key {
+				break
 			}
-			break
+			x = nxt
 		}
 		if prev != nil {
 			prev[lvl] = x
 		}
 	}
-	return x.next[0].Load()
+	return nxt
 }
 
 // Get returns the value stored under key. Safe for concurrent use with
@@ -94,12 +140,22 @@ func (s *SkipList) Get(key uint64) (uint64, bool) {
 // Put inserts or updates a key. Callers must hold the external writer
 // lock.
 func (s *SkipList) Put(key, value uint64) {
+	s.Update(key, func(uint64, bool) uint64 { return value })
+}
+
+// Update stores f(old, ok) under key and returns it, where old is the
+// value key holds and ok reports whether it holds one (old is 0 when
+// not). One walk finds the node to change or the place to insert.
+// Callers must hold the external writer lock.
+func (s *SkipList) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	var prev [maxLevel]*slNode
 	n := s.findGreaterOrEqual(key, s.level, &prev)
 	if n != nil && n.key == key {
-		n.value.Store(value)
-		return
+		v := f(n.value.Load(), true)
+		n.value.Store(v)
+		return v
 	}
+	v := f(0, false)
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -107,15 +163,17 @@ func (s *SkipList) Put(key, value uint64) {
 		}
 		s.level = lvl
 	}
-	node := &slNode{key: key}
-	node.value.Store(value)
+	node := newNode[lvl-1]()
+	node.key = key
+	node.value.Store(v)
 	// Link bottom-up so concurrent readers always see a consistent list:
 	// a node becomes visible at level 0 first, fully initialised.
 	for i := 0; i < lvl; i++ {
-		node.next[i].Store(prev[i].next[i].Load())
+		node.link(i).Store(prev[i].link(i).Load())
 	}
 	for i := 0; i < lvl; i++ {
-		prev[i].next[i].Store(node)
+		prev[i].link(i).Store(node)
 	}
 	s.length++
+	return v
 }

@@ -195,6 +195,15 @@ func TestFig11Shape(t *testing.T) {
 		t.Errorf("empty DB: CNA 36T %.2f not well above MCS %.2f",
 			at(t, &b, "CNA", 36), at(t, &b, "MCS", 36))
 	}
+	// The other NUMA-aware locks beat MCS at 36 threads in both panels.
+	for _, f := range []*Figure{&a, &b} {
+		mcs := at(t, f, LockMCS.String(), 36)
+		for _, lock := range []LockChoice{LockCNAOpt, LockCBOMCS, LockHMCS} {
+			if v := at(t, f, lock.String(), 36); v <= mcs {
+				t.Errorf("%s: %s 36T %.2f not above MCS %.2f", f.ID, lock, v, mcs)
+			}
+		}
+	}
 }
 
 // TestFig12Shape: Kyoto does not scale (single thread is the best), CNA
