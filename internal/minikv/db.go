@@ -115,8 +115,10 @@ func (d *DB) Refs(t *locks.Thread) int {
 	return r
 }
 
-// FillSequential loads n keys, like db_bench's fillseq step that builds
-// the 1M-pair database the paper reads from.
+// FillSequential loads the keys 0..n-1 in order, like db_bench's
+// fillseq step that builds the 1M-pair database the paper reads from.
+// Each key is past the last one, so the memtable appends it without a
+// walk.
 func (d *DB) FillSequential(t *locks.Thread, n int) {
 	for i := 0; i < n; i++ {
 		d.Put(t, uint64(i), uint64(i)*3+1)

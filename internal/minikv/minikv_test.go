@@ -1,11 +1,13 @@
 package minikv
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/locks"
@@ -88,45 +90,138 @@ func shuffled(n int, seed uint64) []uint64 {
 	return keys
 }
 
-// TestSkipListLevelsConsistent walks every level of a list filled in
-// random order, so tall nodes were linked between existing ones: keys
-// strictly increase along each level, each level is a subset of the
-// one below, level 0 holds Len nodes, and the head links nothing above
-// the list's height.
-func TestSkipListLevelsConsistent(t *testing.T) {
-	const n = 8 << 10
-	s := NewSkipList(5)
-	for _, k := range shuffled(n, 6) {
-		s.Put(k, k*7)
-	}
-	if s.level < 6 {
-		t.Fatalf("height %d after %d keys: the walk covers no tall nodes", s.level, n)
+// checkLevels walks every level of s from the head: keys strictly
+// increase along each level, each level is a subset of the one below,
+// level 0 holds Len nodes, the head links nothing above the list's
+// height, every node holds ref's value for its key, and last[i] is the
+// final node of level i (the head while the level is empty). Then Get
+// must find every key of ref with its value.
+func checkLevels(t *testing.T, s *SkipList, ref map[uint64]uint64) {
+	t.Helper()
+	name := func(n *slNode) string {
+		if n == s.head {
+			return "the head"
+		}
+		return fmt.Sprintf("key %d", n.key)
 	}
 	var below map[*slNode]bool
 	for lvl := 0; lvl < maxLevel; lvl++ {
 		on := map[*slNode]bool{}
-		var last *slNode
+		end := s.head
 		for x := s.head.link(lvl).Load(); x != nil; x = x.link(lvl).Load() {
 			if lvl >= s.level {
 				t.Fatalf("head links key %d on level %d, above the height %d", x.key, lvl, s.level)
 			}
-			if last != nil && x.key <= last.key {
-				t.Fatalf("level %d: key %d follows %d", lvl, x.key, last.key)
+			if end != s.head && x.key <= end.key {
+				t.Fatalf("level %d: key %d follows %d", lvl, x.key, end.key)
 			}
 			if lvl > 0 && !below[x] {
 				t.Fatalf("key %d is on level %d but not on level %d", x.key, lvl, lvl-1)
 			}
-			if x.value.Load() != x.key*7 {
-				t.Fatalf("key %d holds %d", x.key, x.value.Load())
+			if want, ok := ref[x.key]; !ok || x.value.Load() != want {
+				t.Fatalf("key %d holds %d, want %d (present %v)", x.key, x.value.Load(), want, ok)
 			}
 			on[x] = true
-			last = x
+			end = x
+		}
+		if s.last[lvl] != end {
+			t.Fatalf("last[%d] is %s, but level %d ends at %s", lvl, name(s.last[lvl]), lvl, name(end))
 		}
 		if lvl == 0 && len(on) != s.Len() {
 			t.Fatalf("level 0 holds %d nodes, Len is %d", len(on), s.Len())
 		}
 		below = on
 	}
+	if s.Len() != len(ref) {
+		t.Fatalf("Len is %d, want %d", s.Len(), len(ref))
+	}
+	for k, want := range ref {
+		if got, ok := s.Get(k); !ok || got != want {
+			t.Fatalf("Get(%d) = %d,%v want %d", k, got, ok, want)
+		}
+	}
+}
+
+// TestSkipListLevelsConsistent checks the levels of a list filled in
+// random order, so tall nodes were linked between existing ones.
+func TestSkipListLevelsConsistent(t *testing.T) {
+	const n = 8 << 10
+	s := NewSkipList(5)
+	ref := map[uint64]uint64{}
+	for _, k := range shuffled(n, 6) {
+		s.Put(k, k*7)
+		ref[k] = k * 7
+	}
+	if s.level < 6 {
+		t.Fatalf("height %d after %d keys: the walk covers no tall nodes", s.level, n)
+	}
+	checkLevels(t, s, ref)
+}
+
+// TestSkipListAppendKeepsLevels checks the levels and last after each
+// phase of a fill that appends, inserts between existing keys, and
+// appends again. The middle phase mixes Puts of the odd keys between
+// the even ones already in the list with Updates of present keys and
+// of new keys past the last one; some of its out-of-order inserts are
+// tall enough to end a level whose last node they follow, so the
+// appends of the last phase need last kept on every level.
+func TestSkipListAppendKeepsLevels(t *testing.T) {
+	const n = 4 << 10
+	s := NewSkipList(7)
+	ref := map[uint64]uint64{}
+	put := func(k, v uint64) {
+		s.Put(k, v)
+		ref[k] = v
+	}
+	for k := uint64(0); k < 2*n; k += 2 {
+		put(k, k*7)
+	}
+	if s.level < 6 {
+		t.Fatalf("height %d after %d appends: no tall node was appended", s.level, n)
+	}
+	checkLevels(t, s, ref)
+
+	rng := prng.New(8)
+	top := uint64(2 * n)
+	endedUpper := 0
+	for _, i := range shuffled(n, 9) {
+		switch rng.Intn(3) {
+		case 0:
+			k := uint64(rng.Intn(n)) * 2
+			got := s.Update(k, func(old uint64, ok bool) uint64 {
+				if !ok || old != ref[k] {
+					t.Fatalf("Update(%d) saw %d,%v want %d,true", k, old, ok, ref[k])
+				}
+				return old + 1
+			})
+			ref[k] = got
+		case 1:
+			top++
+			k := top
+			ref[k] = s.Update(k, func(old uint64, ok bool) uint64 {
+				if ok {
+					t.Fatalf("Update(%d) past the last key saw %d,true", k, old)
+				}
+				return k * 5
+			})
+		}
+		// An insert below the last key cannot move last[0], so any move
+		// of last is on a level above 0.
+		before, k := s.last, 2*i+1
+		put(k, i)
+		if k < before[0].key && s.last != before {
+			endedUpper++
+		}
+	}
+	if endedUpper == 0 {
+		t.Fatal("no out-of-order insert ended a level above 0")
+	}
+	checkLevels(t, s, ref)
+
+	for k := top + 1; k < top+n; k++ {
+		put(k, k*3)
+	}
+	checkLevels(t, s, ref)
 }
 
 // Property: Update agrees with a reference map. f sees the held value
@@ -206,10 +301,28 @@ func TestSkipListConcurrentReadersOneWriter(t *testing.T) {
 	// writer observe only fully-linked nodes. Keys go in shuffled, so
 	// tall nodes are linked between existing ones while readers walk
 	// past them; under -race, checkptr checks every inline link the
-	// walks reach. A key published before a Get starts must be found.
-	const n = 4 << 10
+	// walks reach.
+	raceReadersOneWriter(t, shuffled(4<<10, 4))
+}
+
+// TestSkipListConcurrentReadersAppendingWriter: keys go in ascending,
+// so every insert is an append whose node is written with plain stores
+// before it is linked; under -race, those stores are checked against
+// the readers' atomic loads.
+func TestSkipListConcurrentReadersAppendingWriter(t *testing.T) {
+	order := make([]uint64, 4<<10)
+	for i := range order {
+		order[i] = uint64(i)
+	}
+	raceReadersOneWriter(t, order)
+}
+
+// raceReadersOneWriter inserts order's keys, each holding seven times
+// itself, while three readers Get random keys: a key found must hold
+// its value, and a key published before a Get starts must be found.
+func raceReadersOneWriter(t *testing.T, order []uint64) {
+	n := len(order)
 	s := NewSkipList(3)
-	order := shuffled(n, 4)
 	var published atomic.Int64
 	var mu sync.Mutex // external writer lock, like the DB mutex
 	done := make(chan struct{})
@@ -248,6 +361,36 @@ func TestSkipListConcurrentReadersOneWriter(t *testing.T) {
 	mu.Unlock()
 	close(done)
 	wg.Wait()
+}
+
+// TestPlainStoreLayout: newLinked writes a node's value and links with
+// plain stores through casts, which is sound only while atomic.Uint64
+// is its value word at offset 0 and atomic.Pointer[slNode] is exactly
+// one pointer word. Pin that layout and the plain-write/atomic-read
+// agreement, as core's TestClearNextLayoutAssumption does for
+// locks.Node.ClearNext, so a standard library change fails here
+// instead of corrupting the list.
+func TestPlainStoreLayout(t *testing.T) {
+	if got := unsafe.Sizeof(atomic.Uint64{}); got != 8 {
+		t.Fatalf("atomic.Uint64 is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(atomic.Pointer[slNode]{}); got != unsafe.Sizeof(unsafe.Pointer(nil)) {
+		t.Fatalf("atomic.Pointer[slNode] is %d bytes, want pointer-sized", got)
+	}
+	var prev [maxLevel]*slNode
+	for i := range prev {
+		prev[i] = newNode[maxLevel-1]()
+		prev[i].link(i).Store(&slNode{key: uint64(100 + i)})
+	}
+	n := newLinked(7, 0xfeedface, maxLevel, &prev)
+	if n.key != 7 || n.value.Load() != 0xfeedface {
+		t.Fatalf("node holds key %d value %#x, want 7 and 0xfeedface", n.key, n.value.Load())
+	}
+	for i := range prev {
+		if got, want := n.link(i).Load(), prev[i].link(i).Load(); got != want {
+			t.Fatalf("link %d = %p, want %p", i, got, want)
+		}
+	}
 }
 
 func TestLRUShardEviction(t *testing.T) {
@@ -439,12 +582,19 @@ const benchStream = 1 << 16
 
 func routeKey(k uint64, lists int) int { return int(k * 0x9e3779b97f4a7c15 % uint64(lists)) }
 
-// benchStore builds a shape's filled lists and its request key stream.
-func benchStore(lists int, keys uint64, theta float64) ([]*SkipList, []uint64) {
+// newStore returns a shape's empty lists, seeded as kvserver seeds its
+// shards.
+func newStore(lists int) []*SkipList {
 	ls := make([]*SkipList, lists)
 	for i := range ls {
 		ls[i] = NewSkipList(uint64(i)*0x9e3779b97f4a7c15 + 0x5e17)
 	}
+	return ls
+}
+
+// benchStore builds a shape's filled lists and its request key stream.
+func benchStore(lists int, keys uint64, theta float64) ([]*SkipList, []uint64) {
+	ls := newStore(lists)
 	for k := uint64(0); k < keys; k++ {
 		ls[routeKey(k, lists)].Put(k, k*3+1)
 	}
@@ -454,6 +604,26 @@ func benchStore(lists int, keys uint64, theta float64) ([]*SkipList, []uint64) {
 		stream[i] = z.ScrambledNext()
 	}
 	return ls, stream
+}
+
+// BenchmarkSkipListFill fills a shape's lists with the keys 0..n-1 in
+// order, as the bench's prefill fills kvserver's shards. One op is one
+// key, so ns/op is the fill cost per key, the lists' construction
+// included: a fresh store starts every n keys.
+func BenchmarkSkipListFill(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			var ls []*SkipList
+			k := sh.keys
+			for b.Loop() {
+				if k == sh.keys {
+					ls, k = newStore(sh.lists), 0
+				}
+				ls[routeKey(k, len(ls))].Put(k, k*3+1)
+				k++
+			}
+		})
+	}
 }
 
 func BenchmarkSkipListGet(b *testing.B) {

@@ -4,7 +4,10 @@
 //
 //   - a skiplist memtable whose readers are lock-free (like leveldb's),
 //     with leveldb's node layout: each node is one allocation holding
-//     exactly as many links as its level, about 27 B per key;
+//     exactly as many links as its level, about 27 B per key. A key
+//     past the last one is appended without a walk, so a sequential
+//     fill costs no search, and a new node is written with plain stores
+//     until it is published;
 //   - a global database mutex taken briefly by every Get to snapshot
 //     internal structure pointers and bump reference counters,
 //   - a sharded LRU block cache whose shard mutexes are taken on every
@@ -74,9 +77,28 @@ func (n *slNode) link(lvl int) *atomic.Pointer[slNode] {
 	return (*atomic.Pointer[slNode])(unsafe.Add(unsafe.Pointer(&n.next[0]), uintptr(lvl)*unsafe.Sizeof(n.next[0])))
 }
 
+// newLinked allocates a node of level lvl holding key and value whose
+// link i points where prev[i]'s does. No other goroutine can reach the
+// node until a link to it is stored, so its value and links take plain
+// stores, as locks.Node.ClearNext writes a node before the tail swap
+// publishes it: Go compiles an atomic store to XCHG, a full barrier.
+// The casts rely on the layout TestPlainStoreLayout pins.
+func newLinked(key, value uint64, lvl int, prev *[maxLevel]*slNode) *slNode {
+	n := newNode[lvl-1]()
+	n.key = key
+	*(*uint64)(unsafe.Pointer(&n.value)) = value
+	for i := 0; i < lvl; i++ {
+		*(*unsafe.Pointer)(unsafe.Pointer(n.link(i))) = unsafe.Pointer(prev[i].link(i).Load())
+	}
+	return n
+}
+
 // SkipList maps uint64 keys to uint64 values. Reads may run concurrently
 // with one writer; writers must be serialised externally (the DB mutex
-// does this, as in leveldb).
+// does this, as in leveldb). The writer keeps the last node of every
+// level, so a key past the last one is appended without a walk, as
+// RocksDB's InlineSkipList does for sequential inserts. A new node is
+// written with plain stores until its links publish it.
 type SkipList struct {
 	head *slNode
 	// level is the list's height. Only the writer reads it: readers walk
@@ -84,12 +106,21 @@ type SkipList struct {
 	level  int
 	length int
 	rng    *prng.Xoroshiro
+	// last[i] is the last node on level i, or the head while level i is
+	// empty. Only the writer uses it. It comes after the fields above
+	// so that head, level and last[0], which every Update reads, share
+	// one cache line.
+	last [maxLevel]*slNode
 }
 
 // NewSkipList returns an empty skiplist with a deterministic level
 // generator.
 func NewSkipList(seed uint64) *SkipList {
-	return &SkipList{head: newNode[maxLevel-1](), level: 1, rng: prng.New(seed)}
+	s := &SkipList{head: newNode[maxLevel-1](), level: 1, rng: prng.New(seed)}
+	for i := range s.last {
+		s.last[i] = s.head
+	}
+	return s
 }
 
 // Len returns the number of keys (writer-side accuracy only).
@@ -145,15 +176,22 @@ func (s *SkipList) Put(key, value uint64) {
 
 // Update stores f(old, ok) under key and returns it, where old is the
 // value key holds and ok reports whether it holds one (old is 0 when
-// not). One walk finds the node to change or the place to insert.
-// Callers must hold the external writer lock.
+// not). A key past the last one is appended after the last node of
+// each level without a walk; any other key takes one walk, which finds
+// the node to change or the place to insert. The new node is written
+// with plain stores and then published bottom-up. Callers must hold the
+// external writer lock.
 func (s *SkipList) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	var prev [maxLevel]*slNode
-	n := s.findGreaterOrEqual(key, s.level, &prev)
-	if n != nil && n.key == key {
-		v := f(n.value.Load(), true)
-		n.value.Store(v)
-		return v
+	if key > s.last[0].key {
+		prev = s.last
+	} else {
+		n := s.findGreaterOrEqual(key, s.level, &prev)
+		if n != nil && n.key == key {
+			v := f(n.value.Load(), true)
+			n.value.Store(v)
+			return v
+		}
 	}
 	v := f(0, false)
 	lvl := s.randomLevel()
@@ -163,16 +201,14 @@ func (s *SkipList) Update(key uint64, f func(old uint64, ok bool) uint64) uint64
 		}
 		s.level = lvl
 	}
-	node := newNode[lvl-1]()
-	node.key = key
-	node.value.Store(v)
+	node := newLinked(key, v, lvl, &prev)
 	// Link bottom-up so concurrent readers always see a consistent list:
 	// a node becomes visible at level 0 first, fully initialised.
 	for i := 0; i < lvl; i++ {
-		node.link(i).Store(prev[i].link(i).Load())
-	}
-	for i := 0; i < lvl; i++ {
 		prev[i].link(i).Store(node)
+		if prev[i] == s.last[i] {
+			s.last[i] = node
+		}
 	}
 	s.length++
 	return v

@@ -113,29 +113,38 @@ func TestTimeoutVsWakeRegression(t *testing.T) {
 // semaphore directly.
 func TestStateResetOnTimeout(t *testing.T) {
 	for _, p := range []Policy{SpinThenPark{}, Park{}} {
-		var st State
 		// Round 1: park, time out, then let a late Wake race in while the
-		// flag may still be observable.
+		// flag may still be observable. A waiter descheduled past its
+		// deadline returns without parking, which leaves nothing to
+		// check: such an attempt is repeated on a fresh State with twice
+		// the deadline.
+		var st *State
 		var grant atomic.Bool
-		res := make(chan bool, 1)
-		go func() {
-			res <- p.WaitUntil(&st, grant.Load, time.Now().Add(5*time.Millisecond))
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for st.Parks() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: timed waiter never parked", p.Name())
+		for d := 5 * time.Millisecond; st == nil; d *= 2 {
+			if d > 640*time.Millisecond {
+				t.Fatalf("%s: timed waiter never parked, last deadline %v", p.Name(), d/2)
 			}
-			runtime.Gosched()
-		}
-		ok := <-res
-		if ok {
-			t.Fatalf("%s: never-granted timed wait returned true", p.Name())
+			try := new(State)
+			res := make(chan bool, 1)
+			go func() {
+				res <- p.WaitUntil(try, grant.Load, time.Now().Add(d))
+			}()
+			select {
+			case ok := <-res:
+				if ok {
+					t.Fatalf("%s: never-granted timed wait returned true", p.Name())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: timed wait with a %v deadline never returned", p.Name(), d)
+			}
+			if try.Parks() != 0 {
+				st = try
+			}
 		}
 		// Late wake after the waiter left: with flag 0 this must post
 		// nothing; if the timing left flag visible it posts a token the
 		// next Prepare must drain. Either way round 2 may not wake early.
-		p.Wake(&st)
+		p.Wake(st)
 
 		if st.Parked() {
 			t.Fatalf("%s: flag still set after timed-out wait", p.Name())
@@ -146,7 +155,7 @@ func TestStateResetOnTimeout(t *testing.T) {
 		// park (no instant spurious wake from round-1 residue) and need a
 		// real wake.
 		grant.Store(false)
-		p.Prepare(&st)
+		p.Prepare(st)
 		if st.sema != nil {
 			select {
 			case <-st.sema:
@@ -156,11 +165,11 @@ func TestStateResetOnTimeout(t *testing.T) {
 		}
 		again := make(chan struct{})
 		go func() {
-			p.Wait(&st, grant.Load)
+			p.Wait(st, grant.Load)
 			close(again)
 		}()
 		parks := st.Parks()
-		deadline = time.Now().Add(5 * time.Second)
+		deadline := time.Now().Add(5 * time.Second)
 		for st.Parks() == parks {
 			select {
 			case <-again:
@@ -173,7 +182,7 @@ func TestStateResetOnTimeout(t *testing.T) {
 			runtime.Gosched()
 		}
 		grant.Store(true)
-		p.Wake(&st)
+		p.Wake(st)
 		select {
 		case <-again:
 		case <-time.After(5 * time.Second):
