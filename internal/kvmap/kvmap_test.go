@@ -164,7 +164,9 @@ func TestMapConcurrentUnderEveryLock(t *testing.T) {
 	mks := map[string]func() locks.Mutex{
 		"MCS": func() locks.Mutex { return locks.NewMCS() },
 		"CNA": func() locks.Mutex { return core.New() },
-		"TKT": func() locks.Mutex { return locks.NewTicket() },
+		"BO-TAS": func() locks.Mutex {
+			return locks.NewBackoffTAS(locks.DefaultBackoffMin, locks.DefaultBackoffMax)
+		},
 	}
 	for name, mk := range mks {
 		mk := mk

@@ -9,21 +9,16 @@ package locknames
 // Canonical algorithm names. Each equals the Name() string of the real
 // lock it denotes (enforced by the lockreg conformance suite).
 const (
-	TAS     = "TAS"
-	TTAS    = "TTAS"
-	BOTAS   = "BO-TAS"
-	Ticket  = "TKT"
-	PTL     = "PTL"
-	MCS     = "MCS"
-	CLH     = "CLH"
-	HBO     = "HBO"
-	MCSCR   = "MCSCR"
-	CBOMCS  = "C-BO-MCS"
-	CTKTTKT = "C-TKT-TKT"
-	CPTLTKT = "C-PTL-TKT"
-	HMCS    = "HMCS"
-	CNA     = "CNA"
-	CNAOpt  = "CNA-opt"
+	TAS    = "TAS"
+	TTAS   = "TTAS"
+	BOTAS  = "BO-TAS"
+	MCS    = "MCS"
+	CLH    = "CLH"
+	MCSCR  = "MCSCR"
+	CBOMCS = "C-BO-MCS"
+	HMCS   = "HMCS"
+	CNA    = "CNA"
+	CNAOpt = "CNA-opt"
 )
 
 // Stdlib baseline names: the Go runtime's own mutexes, registered so

@@ -20,9 +20,9 @@
 //
 // An Env carries the machine-shaped inputs every constructor may need:
 // the thread-ID bound and the NUMA topology (socket count). Queue nodes
-// are not among them: MCS, MCSCR, CNA, HMCS and the cohort MCS locals
-// queue the threads' own nodes (see locks.Node), so those locks cost
-// the same whatever the bound.
+// are not among them: MCS, MCSCR, CNA, HMCS and C-BO-MCS's socket
+// queues queue the threads' own nodes (see locks.Node), so those locks
+// cost the same whatever the bound.
 // Functional options (WithThreshold, WithBackoff, WithMaxLocalPasses,
 // ...) tune the per-algorithm policy knobs; options an algorithm does
 // not understand are ignored, so one option list can configure a whole
@@ -67,21 +67,16 @@ import (
 // so the simulator can share them without linking the real lock
 // implementations.
 const (
-	NameTAS     = locknames.TAS
-	NameTTAS    = locknames.TTAS
-	NameBOTAS   = locknames.BOTAS
-	NameTicket  = locknames.Ticket
-	NamePTL     = locknames.PTL
-	NameMCS     = locknames.MCS
-	NameCLH     = locknames.CLH
-	NameHBO     = locknames.HBO
-	NameMCSCR   = locknames.MCSCR
-	NameCBOMCS  = locknames.CBOMCS
-	NameCTKTTKT = locknames.CTKTTKT
-	NameCPTLTKT = locknames.CPTLTKT
-	NameHMCS    = locknames.HMCS
-	NameCNA     = locknames.CNA
-	NameCNAOpt  = locknames.CNAOpt
+	NameTAS    = locknames.TAS
+	NameTTAS   = locknames.TTAS
+	NameBOTAS  = locknames.BOTAS
+	NameMCS    = locknames.MCS
+	NameCLH    = locknames.CLH
+	NameMCSCR  = locknames.MCSCR
+	NameCBOMCS = locknames.CBOMCS
+	NameHMCS   = locknames.HMCS
+	NameCNA    = locknames.CNA
+	NameCNAOpt = locknames.CNAOpt
 )
 
 // Stdlib baselines: the Go runtime's own mutexes as registry citizens,
@@ -253,8 +248,9 @@ func register(s Spec) {
 	registry.specs = append(registry.specs, s)
 }
 
-// All returns every registered Spec in registration order (simple spin
-// locks, then queue locks, then NUMA-aware locks).
+// All returns every registered Spec in registration order: the base
+// algorithms, their -park variants, the stdlib baselines, then the
+// -rw, -fissile and -cr families.
 func All() []Spec {
 	out := make([]Spec, len(registry.specs))
 	copy(out, registry.specs)
@@ -367,22 +363,6 @@ func init() {
 		},
 	})
 	register(Spec{
-		Name:        NameTicket,
-		Aliases:     []string{"ticket"},
-		Description: "FIFO ticket lock: strictly fair, one word, global spinning",
-		build: func(env Env, c config) locks.TimedMutex {
-			return locks.NewTicket()
-		},
-	})
-	register(Spec{
-		Name:        NamePTL,
-		Aliases:     []string{"partitioned-ticket"},
-		Description: "partitioned ticket lock: grants striped across per-socket slots",
-		build: func(env Env, c config) locks.TimedMutex {
-			return locks.NewPartitionedTicket(c.slotsOr(env.Sockets()))
-		},
-	})
-	register(Spec{
 		Name:        NameMCS,
 		Description: "Mellor-Crummey/Scott queue lock: local spinning, the paper's baseline",
 		build: func(env Env, c config) locks.TimedMutex {
@@ -394,18 +374,6 @@ func init() {
 		Description: "Craig/Landin/Hagersten queue lock: spins on the predecessor's node",
 		build: func(env Env, c config) locks.TimedMutex {
 			return locks.NewCLH(env.Threads())
-		},
-	})
-	register(Spec{
-		Name:        NameHBO,
-		Aliases:     []string{"hierarchical-backoff"},
-		Description: "hierarchical backoff lock: one word, remote waiters back off longer",
-		NUMAAware:   true,
-		build: func(env Env, c config) locks.TimedMutex {
-			if c.hboSet {
-				return locks.NewHBO(c.hboLocalMin, c.hboLocalMax, c.hboRemoteMin, c.hboRemoteMax)
-			}
-			return locks.DefaultHBO()
 		},
 	})
 	register(Spec{
@@ -423,22 +391,6 @@ func init() {
 		NUMAAware:   true,
 		build: func(env Env, c config) locks.TimedMutex {
 			return cohort.NewCBOMCS(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
-		},
-	})
-	register(Spec{
-		Name:        NameCTKTTKT,
-		Description: "cohort lock: ticket global, ticket locals",
-		NUMAAware:   true,
-		build: func(env Env, c config) locks.TimedMutex {
-			return cohort.NewCTKTTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
-		},
-	})
-	register(Spec{
-		Name:        NameCPTLTKT,
-		Description: "cohort lock: partitioned-ticket global, ticket locals",
-		NUMAAware:   true,
-		build: func(env Env, c config) locks.TimedMutex {
-			return cohort.NewCPTLTKT(env.Sockets(), c.maxLocalPassesOr(cohort.DefaultMaxLocalPasses))
 		},
 	})
 	register(Spec{
@@ -536,11 +488,8 @@ var layers = []layer{
 	{
 		// Spin-then-park: the base built with waiter.SpinThenPark{} as
 		// its waiting policy unless the caller's options chose one, so an
-		// explicit WithWait still wins. Only queue locks whose release names a specific
-		// successor can park their waiters (someone must post the wake);
-		// the ticket-family locks have no such waker and would merely
-		// rename themselves — WithWait on them degrades to
-		// yield-per-recheck (see locks.Ticket).
+		// explicit WithWait still wins. The bases are the queue locks,
+		// whose release names the successor to wake.
 		suffix:   locknames.ParkSuffix,
 		bases:    []string{NameMCS, NameCLH, NameMCSCR, NameCBOMCS, NameHMCS, NameCNA, NameCNAOpt},
 		describe: func(b Spec) string { return b.Description + "; waiters spin briefly then park" },
@@ -596,13 +545,13 @@ var layers = []layer{
 	},
 	{
 		// Concurrency restriction: the internal/locks/gcr admission gate
-		// over the stdlib baseline, the global-spinning ticket lock (the
-		// two that collapse hardest under oversubscription) and the
-		// queue/NUMA locks the paper sweeps. The gate parks its culled
-		// waiters by default, so the Spec's Wait is spin-park.
-		// WithActiveSet and WithRotateEvery tune the gate.
+		// over the stdlib baseline (which collapses hardest under
+		// oversubscription) and the queue/NUMA locks the paper sweeps.
+		// The gate parks its culled waiters by default, so the Spec's
+		// Wait is spin-park. WithActiveSet and WithRotateEvery tune the
+		// gate.
 		suffix: locknames.CRSuffix,
-		bases:  []string{NameStd, NameTicket, NameMCS, NameCNA, NameCNAOpt, NameCBOMCS, NameHMCS},
+		bases:  []string{NameStd, NameMCS, NameCNA, NameCNAOpt, NameCBOMCS, NameHMCS},
 		describe: func(b Spec) string {
 			return "GCR admission gate over " + b.Name + ": bounded active set, surplus waiters parked and rotated"
 		},

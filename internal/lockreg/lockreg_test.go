@@ -25,15 +25,10 @@ var catalogue = []struct {
 	{"TAS", []string{"test-and-set"}, "test-and-set spin lock: one word, global spinning, no fairness", "spin", false, false},
 	{"TTAS", []string{"test-and-test-and-set"}, "test-and-test-and-set: reads before the atomic swap to cut coherence traffic", "spin", false, false},
 	{"BO-TAS", []string{"backoff", "backoff-tas"}, "test-and-set with capped exponential backoff (the BO of C-BO-MCS)", "spin", false, false},
-	{"TKT", []string{"ticket"}, "FIFO ticket lock: strictly fair, one word, global spinning", "spin", false, false},
-	{"PTL", []string{"partitioned-ticket"}, "partitioned ticket lock: grants striped across per-socket slots", "spin", false, false},
 	{"MCS", nil, "Mellor-Crummey/Scott queue lock: local spinning, the paper's baseline", "spin", false, false},
 	{"CLH", nil, "Craig/Landin/Hagersten queue lock: spins on the predecessor's node", "spin", false, false},
-	{"HBO", []string{"hierarchical-backoff"}, "hierarchical backoff lock: one word, remote waiters back off longer", "spin", false, true},
 	{"MCSCR", []string{"malthusian"}, "Malthusian MCS: culls excess waiters to a passive list (Dice 2017)", "spin", false, false},
 	{"C-BO-MCS", nil, "cohort lock: backoff-TAS global, MCS locals (best cohort variant)", "spin", false, true},
-	{"C-TKT-TKT", nil, "cohort lock: ticket global, ticket locals", "spin", false, true},
-	{"C-PTL-TKT", nil, "cohort lock: partitioned-ticket global, ticket locals", "spin", false, true},
 	{"HMCS", nil, "hierarchical MCS: per-socket queues plus a root queue (Chabbi 2015)", "spin", false, true},
 	{"CNA", nil, "compact NUMA-aware lock: one word of state (the paper's contribution)", "spin", false, true},
 	{"CNA-opt", []string{"cna (opt)", "cnaopt"}, "CNA with the Section 6 shuffle-reduction optimisation", "spin", false, true},
@@ -60,7 +55,6 @@ var catalogue = []struct {
 	{"CNA-fissile", nil, "Fissile composite: one-CAS TAS fast path, CNA queue under contention", "spin", false, true},
 	{"CNA-opt-fissile", []string{"cna (opt)-fissile", "cnaopt-fissile"}, "Fissile composite: one-CAS TAS fast path, CNA-opt queue under contention", "spin", false, true},
 	{"std-cr", []string{"sync-mutex-cr", "stdlib-cr"}, "GCR admission gate over std: bounded active set, surplus waiters parked and rotated", "spin-park", false, false},
-	{"TKT-cr", []string{"ticket-cr"}, "GCR admission gate over TKT: bounded active set, surplus waiters parked and rotated", "spin-park", false, false},
 	{"MCS-cr", nil, "GCR admission gate over MCS: bounded active set, surplus waiters parked and rotated", "spin-park", false, false},
 	{"CNA-cr", nil, "GCR admission gate over CNA: bounded active set, surplus waiters parked and rotated", "spin-park", false, true},
 	{"CNA-opt-cr", []string{"cna (opt)-cr", "cnaopt-cr"}, "GCR admission gate over CNA-opt: bounded active set, surplus waiters parked and rotated", "spin-park", false, true},
@@ -113,7 +107,7 @@ func TestLookupIsCaseInsensitiveAndAliased(t *testing.T) {
 		"CNA (opt)":    NameCNAOpt,
 		"cna_opt":      NameCNAOpt,
 		"cnaopt":       NameCNAOpt,
-		"ticket":       NameTicket,
+		"Backoff_TAS":  NameBOTAS,
 		"malthusian":   NameMCSCR,
 		"backoff":      NameBOTAS,
 		"c-bo-mcs":     NameCBOMCS,

@@ -20,15 +20,10 @@ type config struct {
 
 	backoffSet          bool
 	backoffMin, backMax uint // BO-TAS window
-	hboSet              bool
-	hboLocalMin         uint
-	hboLocalMax         uint
-	hboRemoteMin        uint
-	hboRemoteMax        uint
 	maxLocalPassesSet   bool
-	maxLocalPassesVal   int // cohort / HMCS local-handover budget
-	slotsSet, minActSet bool
-	slotsVal, minActVal int // PTL grant slots; MCSCR active floor
+	maxLocalPassesVal   int // C-BO-MCS / HMCS local-handover budget
+	minActSet           bool
+	minActVal           int // MCSCR active floor
 
 	stats bool // enable holder-side statistics collection
 
@@ -88,28 +83,12 @@ func WithBackoff(min, max uint) Option {
 	return func(c *config) { c.backoffSet = true; c.backoffMin, c.backMax = min, max }
 }
 
-// WithHBOBackoff sets HBO's two backoff windows: [localMin, localMax]
-// for same-socket waiters and [remoteMin, remoteMax] for remote ones.
-func WithHBOBackoff(localMin, localMax, remoteMin, remoteMax uint) Option {
-	return func(c *config) {
-		c.hboSet = true
-		c.hboLocalMin, c.hboLocalMax = localMin, localMax
-		c.hboRemoteMin, c.hboRemoteMax = remoteMin, remoteMax
-	}
-}
-
-// WithMaxLocalPasses bounds consecutive same-socket handovers for the
-// cohort locks and HMCS (the hierarchical locks' fairness knob; the
+// WithMaxLocalPasses bounds consecutive same-socket handovers for
+// C-BO-MCS and HMCS (the hierarchical locks' fairness knob; the
 // paper configures all NUMA-aware locks "with similar fairness
 // settings", default 64).
 func WithMaxLocalPasses(n int) Option {
 	return func(c *config) { c.maxLocalPassesSet = true; c.maxLocalPassesVal = n }
-}
-
-// WithSlots sets the number of PTL grant slots (default: one per
-// socket).
-func WithSlots(n int) Option {
-	return func(c *config) { c.slotsSet = true; c.slotsVal = n }
 }
 
 // WithMinActive sets MCSCR's floor on actively circulating threads.
@@ -198,20 +177,13 @@ func (c config) backoff(defMin, defMax uint) (uint, uint) {
 
 func (c config) maxLocalPassesOr(def int) int {
 	if c.maxLocalPassesSet {
-		// Clamp like the cohort constructors do; without this a negative
+		// Clamp like the C-BO-MCS constructor does; without this a negative
 		// value would wrap to a huge uint64 on the HMCS path (unbounded
 		// local passing, i.e. remote-socket starvation).
 		if c.maxLocalPassesVal < 1 {
 			return 1
 		}
 		return c.maxLocalPassesVal
-	}
-	return def
-}
-
-func (c config) slotsOr(def int) int {
-	if c.slotsSet {
-		return c.slotsVal
 	}
 	return def
 }

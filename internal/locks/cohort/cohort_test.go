@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
@@ -11,9 +12,7 @@ import (
 
 func variants(sockets int) map[string]*Lock {
 	return map[string]*Lock{
-		"C-BO-MCS":  NewCBOMCS(sockets, DefaultMaxLocalPasses),
-		"C-TKT-TKT": NewCTKTTKT(sockets, DefaultMaxLocalPasses),
-		"C-PTL-TKT": NewCPTLTKT(sockets, DefaultMaxLocalPasses),
+		"C-BO-MCS": NewCBOMCS(sockets, DefaultMaxLocalPasses),
 	}
 }
 
@@ -128,14 +127,14 @@ func TestSocketOutOfRangePanics(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with no locals did not panic")
+			t.Fatal("NewCBOMCS with no sockets did not panic")
 		}
 	}()
-	New("X", locks.DefaultBackoffTAS(), nil, 1)
+	NewCBOMCS(0, 1)
 }
 
 func TestMaxLocalPassesNormalised(t *testing.T) {
-	l := NewCTKTTKT(2, 0)
+	l := NewCBOMCS(2, 0)
 	if l.maxPass != 1 {
 		t.Fatalf("maxPass = %d, want 1", l.maxPass)
 	}
@@ -160,7 +159,7 @@ func TestCohortPassingKeepsLockLocal(t *testing.T) {
 func TestNestedCohortLocks(t *testing.T) {
 	// Nesting two distinct cohort locks exercises the slot plumbing.
 	a := NewCBOMCS(2, 16)
-	b := NewCTKTTKT(2, 16)
+	b := NewCBOMCS(2, 16)
 	var counter int
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -209,5 +208,31 @@ func TestPassToAbandonedWaiterReleasesGlobal(t *testing.T) {
 			t.Fatalf("thread %d: TryLock failed on a free lock", th.ID)
 		}
 		lock.Unlock(th)
+	}
+}
+
+// TestSocketsHaveTheirOwnLines pins the per-socket layout: each
+// socket's queue tail and pass count fill one 64 B line, the line
+// starts on a 64 B boundary, and no two sockets share a line, for every
+// socket count up to eight (the paper's machines have two and four).
+func TestSocketsHaveTheirOwnLines(t *testing.T) {
+	if size := unsafe.Sizeof(socket{}); size != 64 {
+		t.Fatalf("socket is %d B, want one 64 B line", size)
+	}
+	for n := 1; n <= 8; n++ {
+		l := NewCBOMCS(n, DefaultMaxLocalPasses)
+		owner := map[uintptr]int{} // line number → socket
+		for i := range l.sockets {
+			start := uintptr(unsafe.Pointer(&l.sockets[i]))
+			if start%64 != 0 {
+				t.Errorf("%d sockets: socket %d starts at %#x, not on a 64 B boundary", n, i, start)
+			}
+			for _, b := range []uintptr{start, start + 63} {
+				if j, seen := owner[b/64]; seen && j != i {
+					t.Errorf("%d sockets: sockets %d and %d share the line at %#x", n, j, i, b/64*64)
+				}
+				owner[b/64] = i
+			}
+		}
 	}
 }

@@ -1,7 +1,10 @@
-// Package locks provides the mutual-exclusion algorithms the CNA paper
-// evaluates against: simple spin locks (test-and-set and friends), queue
-// locks (MCS, CLH, ticket) and NUMA-aware locks (HBO here; Lock Cohorting
-// and HMCS in subpackages; CNA itself in internal/core).
+// Package locks provides the locks the CNA paper evaluates against and
+// what they share: the MCS queue lock (the paper's baseline) and its
+// Malthusian variant MCSCR, the backoff test-and-set lock that serves as
+// C-BO-MCS's global, and the stdlib baselines; the simple spin locks
+// TAS and TTAS and the CLH queue lock are further reference baselines.
+// The NUMA-aware competitors live in subpackages (C-BO-MCS in cohort,
+// HMCS in hmcs), and CNA itself in internal/core.
 //
 // Construction is registry-first: every algorithm here registers a Spec
 // with internal/lockreg, which is the single source of truth for lock
@@ -16,9 +19,9 @@
 // Every algorithm is driven through a per-worker *Thread, which carries
 // the worker's identity: a dense id, the NUMA socket it runs on (from a
 // numa.Placement), and a private PRNG. The MCS-family queue locks (MCS,
-// MCSCR, CNA, HMCS's leaves and the cohort MCS locals) additionally need
-// a queue node per acquisition, as does a reader that waits for an RW
-// lock's writer, and the nodes belong to the thread, not to the lock: a
+// MCSCR, CNA, HMCS's leaves and C-BO-MCS's socket queues) additionally
+// need a queue node per acquisition, as does a reader that waits for an
+// RW lock's writer, and the nodes belong to the thread, not to the lock: a
 // Thread carries one Node per nesting depth, and whichever lock it
 // acquires at that depth queues that node, as the Linux kernel's four
 // per-CPU qspinlock nodes serve every spinlock. Such a lock costs the
@@ -34,8 +37,8 @@
 // enqueue (Lock, and TryLock into an empty queue), the timed enqueue
 // with Scott-&-Scherer abandonment (LockUntil; an expired thread
 // retires its node with Thread.Retire) and the release walk that skips
-// abandoned nodes (Unlock). MCS, MCSCR's enqueue, both HMCS levels, the
-// cohort MCS locals and CNA's timed and try paths call it; CNA's
+// abandoned nodes (Unlock). MCS, MCSCR's enqueue, both HMCS levels,
+// C-BO-MCS's socket queues and CNA's timed and try paths call it; CNA's
 // untimed paths and MCSCR's culling release walk the links themselves.
 //
 // # Waiting policies

@@ -41,10 +41,7 @@ func allLocks() map[string]func(maxThreads int) Mutex {
 	return map[string]func(int) Mutex{
 		"TAS":    func(int) Mutex { return NewTAS() },
 		"TTAS":   func(int) Mutex { return NewTTAS() },
-		"BO-TAS": func(int) Mutex { return DefaultBackoffTAS() },
-		"TKT":    func(int) Mutex { return NewTicket() },
-		"PTL":    func(int) Mutex { return NewPartitionedTicket(4) },
-		"HBO":    func(int) Mutex { return DefaultHBO() },
+		"BO-TAS": func(int) Mutex { return NewBackoffTAS(DefaultBackoffMin, DefaultBackoffMax) },
 		"MCS":    func(n int) Mutex { return NewMCS() },
 		"CLH":    func(n int) Mutex { return NewCLH(n) },
 	}
@@ -174,61 +171,6 @@ func TestHandoverCounterRemoteFraction(t *testing.T) {
 	if got := h.RemoteFraction(); got != 0.5 {
 		t.Fatalf("fraction = %v, want 0.5", got)
 	}
-}
-
-func TestTicketHasWaiters(t *testing.T) {
-	l := NewTicket()
-	th := NewThread(0, 0)
-	l.Lock(th)
-	if l.HasWaiters() {
-		t.Fatal("fresh holder reports waiters")
-	}
-	done := make(chan struct{})
-	go func() {
-		th2 := NewThread(1, 1)
-		l.Lock(th2)
-		l.Unlock(th2)
-		close(done)
-	}()
-	// Wait until the second thread has taken a ticket.
-	for !l.HasWaiters() {
-	}
-	l.Unlock(th)
-	<-done
-}
-
-func TestHBOHolderSocket(t *testing.T) {
-	l := DefaultHBO()
-	if l.HolderSocket() != -1 {
-		t.Fatalf("free lock holder socket = %d, want -1", l.HolderSocket())
-	}
-	th := NewThread(3, 1)
-	l.Lock(th)
-	if l.HolderSocket() != 1 {
-		t.Fatalf("holder socket = %d, want 1", l.HolderSocket())
-	}
-	l.Unlock(th)
-	if l.HolderSocket() != -1 {
-		t.Fatalf("released lock holder socket = %d, want -1", l.HolderSocket())
-	}
-}
-
-func TestPartitionedTicketSlotsIndependent(t *testing.T) {
-	// With 4 slots, 8 sequential acquisitions must cycle through slots
-	// without deadlock and preserve FIFO order.
-	l := NewPartitionedTicket(4)
-	th := NewThread(0, 0)
-	for i := 0; i < 8; i++ {
-		l.Lock(th)
-		l.Unlock(th)
-	}
-}
-
-func TestPartitionedTicketClampsSlots(t *testing.T) {
-	l := NewPartitionedTicket(0)
-	th := NewThread(0, 0)
-	l.Lock(th)
-	l.Unlock(th)
 }
 
 // Property: any interleaving of lock/unlock pairs across a random number

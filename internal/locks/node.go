@@ -10,7 +10,7 @@ import (
 )
 
 // Node is the queue node of the MCS-family locks: MCS, MCSCR, CNA
-// (internal/core), HMCS's leaves and the cohort MCS locals, which all
+// (internal/core), HMCS's leaves and C-BO-MCS's socket queues, which all
 // queue it through a Queue; a reader waiting for an RW lock's writer
 // (internal/locks/rw) waits on one too, on the lock's stack of waiting
 // readers. Nodes belong to threads, not to locks: a Thread holds one per nesting depth,
@@ -22,7 +22,7 @@ type Node struct {
 	// Spin is the word the owner waits on: nil while it waits, non-nil
 	// once a releaser granted it the lock. MCS grants a sentinel; CNA
 	// also passes its secondary queue's head in it (see internal/core);
-	// HMCS and the cohort locals grant one of two sentinels that say
+	// HMCS and C-BO-MCS grant one of two sentinels that say
 	// whether the composite lock came with the grant.
 	Spin atomic.Pointer[Node]
 	// Socket is the owner's NUMA node as CNA records it, or -1 when the

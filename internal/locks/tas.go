@@ -100,16 +100,17 @@ func NewBackoffTAS(min, max uint) *BackoffTAS {
 	return &BackoffTAS{min: min, max: max}
 }
 
+// Init resets l in place to an unlocked lock with backoff window
+// [min, max] pause units, for a lock that holds its BackoffTAS by value
+// (C-BO-MCS's global).
+func (l *BackoffTAS) Init(min, max uint) { *l = BackoffTAS{min: min, max: max} }
+
 // DefaultBackoffMin and DefaultBackoffMax are the backoff window used
 // throughout the benchmarks (and by the lock registry's defaults).
 const (
 	DefaultBackoffMin uint = 4
 	DefaultBackoffMax uint = 1024
 )
-
-// DefaultBackoffTAS returns a BackoffTAS with the window used throughout
-// the benchmarks.
-func DefaultBackoffTAS() *BackoffTAS { return NewBackoffTAS(DefaultBackoffMin, DefaultBackoffMax) }
 
 // Lock acquires the lock.
 func (l *BackoffTAS) Lock(t *Thread) {
@@ -159,9 +160,8 @@ func (l *BackoffTAS) Unlock(t *Thread) { l.state.Store(0) }
 // Name implements Mutex.
 func (l *BackoffTAS) Name() string { return "BO-TAS" }
 
-// TryLock implements Mutex (also used by the cohort framework's
-// global-lock path; the thread argument is unused — the lock is
-// thread-oblivious).
+// TryLock implements Mutex (also C-BO-MCS's global-lock path; the
+// thread argument is unused — the lock is thread-oblivious).
 func (l *BackoffTAS) TryLock(t *Thread) bool {
 	return l.state.Load() == 0 && l.state.Swap(1) == 0
 }

@@ -11,18 +11,17 @@ import (
 // this repository implements it; how a timed acquire gives up is
 // layer-specific and documented per lock:
 //
-//   - Flat spin locks (TAS, TTAS, BO-TAS, HBO) hold no queue position,
-//     so a timed-out waiter simply stops retrying.
-//   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS)
-//     run a Scott-&-Scherer-style abandonment protocol: the timed
-//     waiter marks its node abandoned, and the handover path detects
-//     the mark and skips the node — no lost grant, no ghost critical
-//     section. The waiter takes a fresh node (see Node.Abandon); only
-//     CLH recycles the tombstone itself.
-//   - FIFO counter locks (TKT, PTL) cannot abandon a drawn ticket
-//     without wedging the grant sequence, so their timed acquire is a
-//     deadline-bounded TryLock poll: strictly weaker fairness than
-//     their blocking Lock, but safe and non-wedging.
+//   - Flat spin locks (TAS, TTAS, and BO-TAS, also C-BO-MCS's global)
+//     hold no queue position, so a timed-out waiter simply stops
+//     retrying.
+//   - Queue locks (MCS, MCSCR, CLH, CNA, HMCS and C-BO-MCS's socket
+//     queues) run a Scott-&-Scherer-style abandonment protocol: the
+//     timed waiter marks its node abandoned, and the handover path
+//     detects the mark and skips the node — no lost grant, no ghost
+//     critical section. The waiter takes a fresh node (see
+//     Node.Abandon); only CLH recycles the tombstone itself.
+//   - The stdlib wrappers cannot abandon a runtime wait, so their timed
+//     acquire is a deadline-bounded TryLock poll (PollTimeout).
 type TimedMutex interface {
 	Mutex
 	// LockTimeout attempts to acquire the mutex for t, giving up after
@@ -86,9 +85,9 @@ func ContextLock(ctx context.Context, m interface{ LockTimeout(time.Duration) bo
 
 // PollTimeout runs try until it succeeds or the deadline passes, with
 // the adaptive spin-then-yield cadence between attempts. It is the
-// timed acquire of the locks that cannot abandon a wait-queue position
-// (ticket family, stdlib wrappers): the caller never joins the queue,
-// so there is nothing to abandon on expiry.
+// timed acquire of TAS, TTAS and the stdlib wrappers (which cannot
+// abandon a runtime wait): the caller never joins a queue, so there is
+// nothing to abandon on expiry.
 func PollTimeout(try func() bool, d time.Duration) bool {
 	if try() {
 		return true

@@ -70,36 +70,6 @@ func (l *BackoffTAS) Unlock(t *memsim.T) { t.Store(l.state, 0) }
 // Name implements Mutex.
 func (l *BackoffTAS) Name() string { return locknames.BOTAS }
 
-// ---- Ticket lock ----
-
-// Ticket is a FIFO ticket lock over two simulated words.
-type Ticket struct {
-	next  *memsim.Word
-	grant *memsim.Word
-}
-
-// NewTicket allocates a ticket lock.
-func NewTicket(s *memsim.Sim) *Ticket {
-	return &Ticket{next: s.NewWord(0), grant: s.NewWord(0)}
-}
-
-// Lock implements Mutex.
-func (l *Ticket) Lock(t *memsim.T) {
-	ticket := t.FetchAdd(l.next, 1) - 1
-	v := t.Load(l.grant)
-	for v != ticket {
-		v = t.AwaitChange(l.grant, v)
-	}
-}
-
-// Unlock implements Mutex.
-func (l *Ticket) Unlock(t *memsim.T) {
-	t.Store(l.grant, t.Load(l.grant)+1)
-}
-
-// Name implements Mutex.
-func (l *Ticket) Name() string { return locknames.Ticket }
-
 // ---- MCS ----
 
 // mcsNode is an MCS queue node: two words on one line, like the 16-byte

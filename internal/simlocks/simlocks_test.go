@@ -13,7 +13,6 @@ func factories() []Factory {
 		{Name: "MCS", New: func(s *memsim.Sim, n int) Mutex { return NewMCS(s, n) }},
 		{Name: "CNA", New: func(s *memsim.Sim, n int) Mutex { return NewCNA(s, n, DefaultCNAOptions()) }},
 		{Name: "CNA-opt", New: func(s *memsim.Sim, n int) Mutex { return NewCNA(s, n, OptCNAOptions()) }},
-		{Name: "TKT", New: func(s *memsim.Sim, n int) Mutex { return NewTicket(s) }},
 		{Name: "BO-TAS", New: func(s *memsim.Sim, n int) Mutex { return NewBackoffTAS(s, 64, 2048) }},
 		{Name: "C-BO-MCS", New: func(s *memsim.Sim, n int) Mutex { return NewCBOMCS(s, s.Topology().Sockets, n, 64) }},
 		{Name: "HMCS", New: func(s *memsim.Sim, n int) Mutex { return NewHMCS(s, s.Topology().Sockets, n, 64) }},

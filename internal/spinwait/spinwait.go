@@ -91,12 +91,13 @@ func procyield(n uint32) uint32 {
 	return x
 }
 
-// Backoff implements capped exponential backoff, used by the test-and-set
-// and HBO baselines. Waiting is delegated to an embedded adaptive
-// Spinner, so short backoffs burn cheap busy work instead of forcing a
-// scheduler round trip per unit, while long backoffs (and one-core
-// hosts) still yield on every unit once the spinner's busy budget is
-// spent. The zero value is invalid; use NewBackoff.
+// Backoff implements capped exponential backoff, used by the backoff
+// test-and-set lock (BO-TAS, C-BO-MCS's global). Waiting is delegated
+// to an embedded adaptive Spinner, so short backoffs burn cheap busy
+// work instead of forcing a scheduler round trip per unit, while long
+// backoffs (and one-core hosts) still yield on every unit once the
+// spinner's busy budget is spent. The zero value is invalid; use
+// NewBackoff.
 //
 // The per-Wait duration is capped at max, and the TOTAL work since the
 // last Reset is capped as well: once a waiter has burned through

@@ -105,12 +105,12 @@ func TestTimeoutVsWakeRegression(t *testing.T) {
 	}
 }
 
-// TestStateResetOnTimeout pins the timeout-path reset (the satellite
-// fix): a State abandoned by a timed-out park — including one a late
-// Wake raced a token into — must carry neither a flag nor a stale
-// token into its next use, or an oversubscribed placement wrap reusing
-// the node would see a spurious instant wake. White-box: it reads the
-// semaphore directly.
+// TestStateResetOnTimeout pins the timeout-path reset: a State
+// abandoned by a timed-out park — including one a late Wake raced a
+// token into — must carry neither a flag nor a stale token into its
+// next use, or an oversubscribed placement wrap reusing the node would
+// see a spurious instant wake. White-box: it reads the semaphore
+// directly.
 func TestStateResetOnTimeout(t *testing.T) {
 	for _, p := range []Policy{SpinThenPark{}, Park{}} {
 		// Round 1: park, time out, then let a late Wake race in while the
@@ -163,12 +163,15 @@ func TestStateResetOnTimeout(t *testing.T) {
 			default:
 			}
 		}
+		// Read the park count before the waiter starts: Park parks at
+		// once, so a count read after go func could already include the
+		// park this loop waits for.
+		parks := st.Parks()
 		again := make(chan struct{})
 		go func() {
 			p.Wait(st, grant.Load)
 			close(again)
 		}()
-		parks := st.Parks()
 		deadline := time.Now().Add(5 * time.Second)
 		for st.Parks() == parks {
 			select {

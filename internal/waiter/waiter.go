@@ -54,7 +54,6 @@
 package waiter
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -231,13 +230,6 @@ type Policy interface {
 	// so the node can be reused (after the lock-level abandonment
 	// protocol retires it). Like Wait, ready may be called spuriously.
 	WaitUntil(st *State, ready func() bool, deadline time.Time) bool
-	// WaitGlobal waits on a global-spin lock (ticket family) that has no
-	// per-waiter wake channel: dist returns how many holders stand
-	// between the caller and the lock, 0 meaning the lock is granted.
-	// Spin turns the distance into proportional backoff; parking
-	// policies cannot park (nobody would wake them) and degrade to
-	// yield-per-recheck once the busy budget is spent.
-	WaitGlobal(dist func() uint32)
 	// Wake marks st's owner runnable. Call it after publishing the
 	// grant the owner's ready() reads; a no-op unless the owner is
 	// parked (one load of a line the waker just wrote).
@@ -247,11 +239,6 @@ type Policy interface {
 // Default is the policy every lock constructor starts with: pure
 // spinning, the paper's (and the kernel's) behaviour.
 var Default Policy = Spin{}
-
-// proportionalCap bounds how many pause units WaitGlobal burns between
-// renewed distance reads: far-away tickets must not commit to stale
-// distances for too long (the queue may drain faster than estimated).
-const proportionalCap = 64
 
 // Spin is the all-busy policy: the three-phase adaptive waiter that
 // previously lived inline in every lock's spin loop. Wake is a no-op.
@@ -297,31 +284,6 @@ func (Spin) WaitUntil(st *State, ready func() bool, deadline time.Time) bool {
 // clock reads; the deadline is therefore honored with one-probe-window
 // granularity, which is far below any serving-path deadline.
 const deadlineProbe = 64
-
-// WaitGlobal implements Policy: proportional backoff — burn pause units
-// proportional to the queue distance between rechecks, so far-away
-// ticket holders neither hammer the grant line nor oversleep.
-func (Spin) WaitGlobal(dist func() uint32) {
-	var s spinwait.Spinner
-	for {
-		d := dist()
-		if d == 0 {
-			return
-		}
-		if s.Yielding() {
-			// Busy budget spent: one yield per recheck regardless of
-			// distance (d yields would just thrash the scheduler).
-			s.Pause()
-			continue
-		}
-		if d > proportionalCap {
-			d = proportionalCap
-		}
-		for ; d > 0; d-- {
-			s.Pause()
-		}
-	}
-}
 
 // Wake implements Policy: spinning waiters need no wakeup.
 func (Spin) Wake(st *State) {}
@@ -404,15 +366,6 @@ func (p SpinThenPark) WaitUntil(st *State, ready func() bool, deadline time.Time
 	return st.blockUntil(ready, deadline)
 }
 
-// WaitGlobal implements Policy: same bounded budget, but with no wake
-// channel the tail is yield-per-recheck instead of a park.
-func (p SpinThenPark) WaitGlobal(dist func() uint32) {
-	var s spinwait.Spinner
-	for dist() != 0 {
-		s.Pause()
-	}
-}
-
 // Wake implements Policy.
 func (SpinThenPark) Wake(st *State) { wake(st) }
 
@@ -445,14 +398,6 @@ func (Park) WaitUntil(st *State, ready func() bool, deadline time.Time) bool {
 		return true
 	}
 	return st.blockUntil(ready, deadline)
-}
-
-// WaitGlobal implements Policy: nothing will wake a parked ticket
-// waiter, so yield on every recheck.
-func (Park) WaitGlobal(dist func() uint32) {
-	for dist() != 0 {
-		runtime.Gosched()
-	}
 }
 
 // Wake implements Policy.

@@ -213,31 +213,3 @@ func TestSpinWakeIsNoOp(t *testing.T) {
 		t.Fatal("Spin policy touched the park state")
 	}
 }
-
-// TestWaitGlobalProportional: the global (ticket) wait must return as
-// soon as the distance hits zero, from any starting distance, for every
-// policy.
-func TestWaitGlobalProportional(t *testing.T) {
-	for _, p := range policies() {
-		for _, start := range []uint32{0, 1, 3, 1000} {
-			var left atomic.Uint32
-			left.Store(start)
-			done := make(chan struct{})
-			go func() {
-				p.WaitGlobal(func() uint32 {
-					d := left.Load()
-					if d > 0 {
-						left.CompareAndSwap(d, d-1)
-					}
-					return d
-				})
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%s: WaitGlobal(start=%d) hung", p.Name(), start)
-			}
-		}
-	}
-}

@@ -6,9 +6,9 @@
 // is regenerated.
 //
 // This file is the public facade. The API is registry-first: every lock
-// algorithm in the tree — TAS, TTAS, BO-TAS, TKT, PTL, MCS, CLH, HBO,
-// MCSCR, the three cohort variants, HMCS, CNA and CNA-opt — registers
-// itself with internal/lockreg, and Build constructs any of them by
+// algorithm in the tree — TAS, TTAS, BO-TAS, MCS, CLH, MCSCR, the
+// cohort lock C-BO-MCS, HMCS, CNA and CNA-opt — registers itself with
+// internal/lockreg, and Build constructs any of them by
 // (case-insensitive) name:
 //
 //	env  := repro.Env{MaxThreads: workers, Topology: repro.TwoSocketXeonE5()}
@@ -67,7 +67,7 @@
 //
 // # Concurrency restriction
 //
-// The "-cr" suffix ("std-cr", "cna-cr", "tkt-cr", ...) wraps a lock in
+// The "-cr" suffix ("std-cr", "cna-cr", "mcs-cr", ...) wraps a lock in
 // a generic concurrency-restriction gate (internal/locks/gcr, after
 // Dice & Kogan 2019's GCR): a socket-sized active set circulates over
 // the inner lock while surplus arrivals park on a passive list,
@@ -188,7 +188,8 @@ type LockSpec = lockreg.Spec
 type BuildOption = lockreg.Option
 
 // Locks returns every registered lock algorithm in registration order
-// (simple spin locks, queue locks, then NUMA-aware locks).
+// (the base algorithms, their -park variants, the stdlib baselines,
+// then the -rw, -fissile and -cr families).
 func Locks() []LockSpec { return lockreg.All() }
 
 // LockNames returns the canonical algorithm names, in the same stable
@@ -287,17 +288,9 @@ func WithFairnessCountdown(on bool) BuildOption { return lockreg.WithFairnessCou
 // WithBackoff sets the BO-TAS backoff window in pause units.
 func WithBackoff(min, max uint) BuildOption { return lockreg.WithBackoff(min, max) }
 
-// WithHBOBackoff sets HBO's local and remote backoff windows.
-func WithHBOBackoff(localMin, localMax, remoteMin, remoteMax uint) BuildOption {
-	return lockreg.WithHBOBackoff(localMin, localMax, remoteMin, remoteMax)
-}
-
-// WithMaxLocalPasses bounds consecutive same-socket handovers for the
-// cohort locks and HMCS (default 64).
+// WithMaxLocalPasses bounds consecutive same-socket handovers for
+// C-BO-MCS and HMCS (default 64).
 func WithMaxLocalPasses(n int) BuildOption { return lockreg.WithMaxLocalPasses(n) }
-
-// WithSlots sets the number of PTL grant slots.
-func WithSlots(n int) BuildOption { return lockreg.WithSlots(n) }
 
 // WithMinActive sets MCSCR's floor on circulating threads.
 func WithMinActive(n int) BuildOption { return lockreg.WithMinActive(n) }
@@ -321,9 +314,9 @@ func SpinThenParkWait() WaitPolicy { return waiter.SpinThenPark{} }
 func ParkWait() WaitPolicy { return waiter.Park{} }
 
 // WithWait selects the waiting policy for locks that support one; the
-// lock's Name() gains the policy's suffix ("MCS-park"). Locks without
-// a parkable waiter (the ticket family) degrade to yield-per-recheck
-// under parking policies.
+// lock's Name() gains the policy's suffix ("MCS-park"). Locks that
+// queue no waiters (the flat spin locks and the stdlib baselines)
+// ignore it.
 func WithWait(p WaitPolicy) BuildOption { return lockreg.WithWait(p) }
 
 // WithPatience tunes the "-fissile" composites' anti-starvation bound:
