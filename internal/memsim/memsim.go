@@ -30,26 +30,32 @@
 //
 // # Scheduling
 //
-// Each simulated thread is a coroutine (iter.Pull) that Run's loop
-// resumes, so exactly one thread executes at a time and control passes
-// between threads without the Go scheduler. Every memory operation and
-// Work ends in a scheduling point, where the thread's local clock has
-// already advanced by the operation's cost. The next thread to execute is
-// always the runnable one with the least (local virtual time, thread
-// id); combined with seeded PRNGs this makes every simulation
-// deterministic.
+// Each simulated thread is a coroutine (iter.Pull), so exactly one thread
+// executes at a time and control passes between threads without the Go
+// scheduler. Every memory operation and Work ends in a scheduling point,
+// where the thread's local clock has already advanced by the operation's
+// cost. The next thread to execute is always the runnable one with the
+// least (local virtual time, thread id); combined with seeded PRNGs this
+// makes every simulation deterministic.
 //
 // Most scheduling points do not switch threads at all. When the running
 // thread still precedes every queued thread in that order, it runs ahead
-// without being queued: Run would have resumed it next anyway, so
+// without being queued: it would have been resumed next anyway, so
 // operations execute in exactly the order of an event queue that
 // re-queues the thread after every operation, at a fraction of the cost.
+//
+// A thread that must give way drives the scheduler itself instead of
+// returning to Run: it queues itself, then pops and resumes the earliest
+// thread until it pops itself, and carries on. A thread it resumes gives
+// way by returning to it, so coroutines nest one level deep and two
+// threads taking turns cost one switch each way. Run resumes a thread
+// only to start the simulation and when the thread it resumed parks or
+// returns.
 //
 // A panic inside a simulated thread propagates out of Run.
 package memsim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 
@@ -149,10 +155,19 @@ type Sim struct {
 	topo    numa.Topology
 	costs   Costs
 	threads []*T
-	queue   runQueue
+	// queue is a binary heap of the runnable threads ordered by
+	// precedes. Ordering by the live t.now is sound because a queued
+	// thread's clock never moves: only the running thread advances its
+	// own clock, and chargeWrite raises a parked waiter's clock before
+	// queueing it.
+	queue   []*T
 	clock   uint64
 	llc     LLCStats
 	running bool
+	// driving is set while a thread runs the scheduler loop (see drive).
+	driving bool
+	live    int // threads whose fn has not returned
+	resumes int // coroutine resumes, for the tests
 }
 
 // New builds a simulator for the given topology and cost table.
@@ -199,9 +214,9 @@ type T struct {
 	rng    prng.Xoroshiro
 	done   bool
 
-	// next resumes the thread's coroutine until its next scheduling point
-	// (or until fn returns); yield, called from inside the coroutine,
-	// hands control back to Run.
+	// next resumes the thread's coroutine until it gives way, parks or
+	// returns; yield, called from inside the coroutine, hands control back
+	// to its resumer: Run or the driving thread.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
@@ -210,8 +225,9 @@ type T struct {
 }
 
 // Spawn creates a simulated thread on the given virtual CPU running fn.
-// All Spawn calls must precede Run. fn runs as a coroutine that only Run
-// resumes; it does not start until Run selects the thread.
+// All Spawn calls must precede Run. fn runs as a coroutine that only the
+// scheduler resumes; it does not start until the scheduler selects the
+// thread.
 func (s *Sim) Spawn(cpu int, fn func(t *T)) *T {
 	if s.running {
 		panic("memsim: Spawn after Run")
@@ -235,10 +251,11 @@ func (s *Sim) Spawn(cpu int, fn func(t *T)) *T {
 	return t
 }
 
-// Run executes the simulation until every thread's fn returns. Its loop
-// is the scheduler: it pops the earliest runnable thread by (local
-// clock, id) and resumes its coroutine until the thread reaches a
-// scheduling point that does not let it run ahead, parks, or returns.
+// Run executes the simulation until every thread's fn returns. It
+// starts the scheduler: it resumes the earliest runnable thread by
+// (local clock, id), which then drives the scheduler itself whenever it
+// gives way (see step), and Run resumes the next earliest only when that
+// thread parks or returns.
 //
 // Run panics with a diagnostic if all remaining threads are parked (a
 // deadlock in the simulated lock protocol); the parked threads stay
@@ -246,12 +263,12 @@ func (s *Sim) Spawn(cpu int, fn func(t *T)) *T {
 // Run with the same value, leaving the other threads suspended.
 func (s *Sim) Run() {
 	s.running = true
-	live := len(s.threads)
+	s.live = len(s.threads)
 	for _, t := range s.threads {
-		heap.Push(&s.queue, t)
+		s.push(t)
 	}
-	for live > 0 {
-		if s.queue.Len() == 0 {
+	for s.live > 0 {
+		if len(s.queue) == 0 {
 			parked := 0
 			for _, t := range s.threads {
 				if !t.done && t.watching != nil {
@@ -260,12 +277,7 @@ func (s *Sim) Run() {
 			}
 			panic(fmt.Sprintf("memsim: deadlock — %d threads parked, none runnable", parked))
 		}
-		t := heap.Pop(&s.queue).(*T)
-		s.clock = max(s.clock, t.now)
-		t.next()
-		if t.done {
-			live--
-		}
+		s.resume(s.pop())
 	}
 }
 
@@ -281,22 +293,51 @@ func (s *Sim) Topology() numa.Topology { return s.topo }
 
 // ---- scheduler plumbing ----
 
-// runQueue is a heap of the runnable threads ordered by (local clock,
-// id). Ordering by the live t.now is sound because a queued thread's
-// clock never moves: only the running thread advances its own clock, and
-// chargeWrite raises a parked waiter's clock before queueing it.
-type runQueue []*T
+// resume runs t's coroutine until t gives way, parks or returns,
+// advancing the global clock to t's as an event queue would.
+func (s *Sim) resume(t *T) {
+	s.clock = max(s.clock, t.now)
+	s.resumes++
+	t.next()
+	if t.done {
+		s.live--
+	}
+}
 
-func (q runQueue) Len() int           { return len(q) }
-func (q runQueue) Less(i, j int) bool { return q[i].precedes(q[j]) }
-func (q runQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *runQueue) Push(x any)        { *q = append(*q, x.(*T)) }
-func (q *runQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	*q = old[:n-1]
-	return t
+// push adds t to the run queue.
+func (s *Sim) push(t *T) {
+	s.queue = append(s.queue, t)
+	q := s.queue
+	j := len(q) - 1
+	for ; j > 0 && t.precedes(q[(j-1)/2]); j = (j - 1) / 2 {
+		q[j] = q[(j-1)/2]
+	}
+	q[j] = t
+}
+
+// pop removes and returns the earliest queued thread; the queue must not
+// be empty.
+func (s *Sim) pop() *T {
+	q := s.queue
+	n := len(q) - 1
+	first, last := q[0], q[n]
+	q = q[:n]
+	s.queue = q
+	if n > 0 {
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && q[c+1].precedes(q[c]) {
+				c++
+			}
+			if !q[c].precedes(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	return first
 }
 
 // precedes reports whether t runs before u: earlier local clock first,
@@ -306,22 +347,42 @@ func (t *T) precedes(u *T) bool {
 }
 
 // step is the scheduling point after every operation, with t's local
-// clock already advanced. If t still precedes every queued thread, Run
-// would pop t next, so t runs ahead: it advances the global clock as
-// Run would and continues without a switch. Otherwise t is queued and
-// its coroutine yields to Run.
+// clock already advanced. If t still precedes every queued thread, it
+// would be resumed next, so t runs ahead: it advances the global clock as
+// a resume would and continues without a switch. Otherwise t is queued
+// and gives way (see drive).
 func (t *T) step() {
 	s := t.sim
 	if len(s.queue) == 0 || t.precedes(s.queue[0]) {
 		s.clock = max(s.clock, t.now)
 		return
 	}
-	heap.Push(&s.queue, t)
-	t.yield(struct{}{})
+	s.push(t)
+	t.drive()
+}
+
+// drive gives way from a queued t. When another thread is driving, t's
+// coroutine yields to it. Otherwise t runs the scheduler loop in place:
+// it resumes the earliest queued thread until it pops itself, which is
+// the order Run's loop would resume them in, and then carries on. The
+// loop ends because t is queued.
+func (t *T) drive() {
+	s := t.sim
+	if s.driving {
+		t.yield(struct{}{})
+		return
+	}
+	s.driving = true
+	for u := s.pop(); u != t; u = s.pop() {
+		s.resume(u)
+	}
+	s.driving = false
+	s.clock = max(s.clock, t.now)
 }
 
 // park suspends the thread on a line watcher without queueing it; a write
-// to the line will queue it (see chargeWrite).
+// to the line will queue it (see chargeWrite). The coroutine yields to
+// its resumer: the driving thread, or Run.
 func (t *T) park(w *Word) {
 	t.watching = w
 	w.line.watchers = append(w.line.watchers, t)
@@ -409,7 +470,7 @@ func (t *T) chargeWrite(w *Word) {
 			// before it is queued: the run queue orders threads by their
 			// clocks and relies on a queued clock never moving.
 			waiter.now = max(waiter.now, t.now)
-			heap.Push(&t.sim.queue, waiter)
+			t.sim.push(waiter)
 		}
 		line.watchers = line.watchers[:0]
 	}

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -413,6 +414,116 @@ func TestThreadPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// TestDrivingHalvesHandoffResumes checks that two threads taking turns
+// switch coroutines once per turn of the thread that is not driving: N
+// alternating stores take at most N/2 + 2 resumes (the first resume, one
+// per store of thread 1, and the one that lets thread 1 return). A
+// scheduler that returns to Run at every turn resumes once per store.
+func TestDrivingHalvesHandoffResumes(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 1001} {
+		s := handoff(n)
+		s.Run()
+		if limit := n/2 + 2; s.resumes > limit {
+			t.Errorf("%d alternating stores took %d resumes, want at most %d", n, s.resumes, limit)
+		}
+	}
+}
+
+// TestDrivenThreadPanicSurfacesFromRun checks that a panic in a thread
+// resumed by a driving thread, not by Run, propagates out of Run with its
+// value.
+func TestDrivenThreadPanicSurfacesFromRun(t *testing.T) {
+	type sentinel struct{ id int }
+	s := sim2()
+	s.Spawn(0, func(th *T) {
+		th.Work(10) // thread 1 is queued at 0: thread 0 drives and resumes it
+		t.Error("thread 0 ran on after thread 1 panicked")
+	})
+	driven := false
+	s.Spawn(1, func(th *T) {
+		driven = th.sim.driving
+		panic(sentinel{th.ID()})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	if !driven {
+		t.Fatal("thread 1 was resumed by Run, not by the driving thread 0")
+	}
+	if got != (sentinel{1}) {
+		t.Fatalf("Run panicked with %v, want %v", got, sentinel{1})
+	}
+}
+
+// TestDeadlockAfterDriving checks that Run still reports a deadlock when
+// the last runnable thread parks after another thread drove the
+// scheduler.
+func TestDeadlockAfterDriving(t *testing.T) {
+	s := sim2()
+	w := s.NewWord(0)
+	driven := false
+	s.Spawn(0, func(th *T) {
+		th.Work(10) // gives way to thread 1 at 0, driving the scheduler
+		th.AwaitChange(w, 0)
+	})
+	s.Spawn(1, func(th *T) {
+		driven = th.sim.driving
+		th.Work(20) // gives way back to thread 0, which parks
+		th.AwaitChange(w, 0)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	if !driven {
+		t.Fatal("thread 1 was not resumed by a driving thread")
+	}
+	if msg, _ := got.(string); !strings.Contains(msg, "deadlock — 2 threads parked") {
+		t.Fatalf("Run panicked with %v, want the deadlock diagnostic for 2 parked threads", got)
+	}
+}
+
+// TestRunQueueOrder checks the run queue against a plain list: pushes
+// mixed with pops, with clocks drawn from a small range so that ties go
+// to the lower id, always pop the earliest queued thread.
+func TestRunQueueOrder(t *testing.T) {
+	earliest := func(a, b *T) int {
+		if a.precedes(b) {
+			return -1
+		}
+		return 1
+	}
+	f := func(clocks []uint8, popAfter []bool) bool {
+		s := sim2()
+		var queued []*T
+		popOK := func() bool {
+			want := slices.MinFunc(queued, earliest)
+			queued = slices.DeleteFunc(queued, func(u *T) bool { return u == want })
+			return s.pop() == want
+		}
+		for i, c := range clocks {
+			th := &T{id: i, now: uint64(c % 8)}
+			s.push(th)
+			queued = append(queued, th)
+			if i < len(popAfter) && popAfter[i] && !popOK() {
+				return false
+			}
+		}
+		for len(queued) > 0 {
+			if !popOK() {
+				return false
+			}
+		}
+		return len(s.queue) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // BenchmarkSimEventThroughput runs one thread, so every operation runs
 // ahead without a thread switch.
 func BenchmarkSimEventThroughput(b *testing.B) {
@@ -428,21 +539,31 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 }
 
 // BenchmarkSimHandoff has two threads on different sockets take turns
-// storing to one line, so every operation switches threads.
+// storing to one line, so every operation gives way to the other thread.
+// Thread 0 drives the scheduler, so only thread 1's turns resume a
+// coroutine: about half a resume per operation.
 func BenchmarkSimHandoff(b *testing.B) {
+	s := handoff(b.N)
+	b.ResetTimer()
+	s.Run()
+	b.ReportMetric(float64(s.resumes)/float64(max(b.N, 1)), "resumes/op")
+}
+
+// handoff builds the simulation of BenchmarkSimHandoff: threads on CPUs 0
+// and 1 (sockets 0 and 1) alternate n stores to one word between them.
+func handoff(n int) *Sim {
 	s := sim2()
 	w := s.NewWord(0)
 	for cpu := 0; cpu < 2; cpu++ {
-		n := b.N / 2
+		k := n / 2
 		if cpu == 0 {
-			n = b.N - n
+			k = n - k
 		}
 		s.Spawn(cpu, func(th *T) {
-			for i := 0; i < n; i++ {
+			for i := 0; i < k; i++ {
 				th.Store(w, uint64(i))
 			}
 		})
 	}
-	b.ResetTimer()
-	s.Run()
+	return s
 }

@@ -24,10 +24,8 @@ func FairnessSweep(sc Scale, threads int) string {
 	cfg := DefaultKVMap()
 	masks := []uint64{0x0, 0xf, 0xff, 0x3ff, 0xfff, 0xffff}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "# ablation — CNA fairness threshold (KV-map, %d threads)\n", threads)
-	fmt.Fprintf(&b, "%-10s %14s %10s\n", "mask", "ops/us", "fairness")
-	for _, mask := range masks {
+	cfgs := make([]Config, len(masks))
+	for i, mask := range masks {
 		build := func(s *memsim.Sim, n int) OpFunc {
 			opts := simlocks.DefaultCNAOptions()
 			opts.KeepLocalMask = mask
@@ -43,8 +41,14 @@ func FairnessSweep(sc Scale, threads int) string {
 				l.Unlock(th)
 			}
 		}
-		res := Run(Config{Topo: topo, Costs: costs, Threads: threads, HorizonNs: sc.HorizonNs, Build: build})
-		fmt.Fprintf(&b, "%#-10x %14.3f %10.3f\n", mask, res.Throughput, res.Fairness)
+		cfgs[i] = Config{Topo: topo, Costs: costs, Threads: threads, HorizonNs: sc.HorizonNs, Build: build}
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "# ablation — CNA fairness threshold (KV-map, %d threads)\n", threads)
+	fmt.Fprintf(&b, "%-10s %14s %10s\n", "mask", "ops/us", "fairness")
+	for i, res := range runAll(cfgs) {
+		fmt.Fprintf(&b, "%#-10x %14.3f %10.3f\n", masks[i], res.Throughput, res.Fairness)
 	}
 	return b.String()
 }
@@ -61,20 +65,27 @@ func PlacementAblation(sc Scale, threads int) string {
 	}
 	cfg := DefaultKVMap()
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "# ablation — thread placement (KV-map, %d threads)\n", threads)
-	fmt.Fprintf(&b, "%-10s %-10s %14s\n", "lock", "placement", "ops/us")
-	for _, lock := range []LockChoice{LockMCS, LockCNA} {
-		for _, pl := range []struct {
-			name   string
-			policy numa.Policy
-		}{{"spread", numa.Spread}, {"compact", numa.Compact}} {
-			res := Run(Config{
+	locks := []LockChoice{LockMCS, LockCNA}
+	placements := []struct {
+		name   string
+		policy numa.Policy
+	}{{"spread", numa.Spread}, {"compact", numa.Compact}}
+	var cfgs []Config
+	for _, lock := range locks {
+		for _, pl := range placements {
+			cfgs = append(cfgs, Config{
 				Topo: topo, Costs: costs, Threads: threads,
 				HorizonNs: sc.HorizonNs, Build: KVMap(cfg, lock), Placement: pl.policy,
 			})
-			fmt.Fprintf(&b, "%-10s %-10s %14.3f\n", lock, pl.name, res.Throughput)
 		}
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "# ablation — thread placement (KV-map, %d threads)\n", threads)
+	fmt.Fprintf(&b, "%-10s %-10s %14s\n", "lock", "placement", "ops/us")
+	for i, res := range runAll(cfgs) {
+		lock, pl := locks[i/len(placements)], placements[i%len(placements)]
+		fmt.Fprintf(&b, "%-10s %-10s %14.3f\n", lock, pl.name, res.Throughput)
 	}
 	return b.String()
 }

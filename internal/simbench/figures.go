@@ -191,15 +191,20 @@ func TableOne(sc Scale, threads int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Table 1 — contention in the will-it-scale benchmarks (measured at %d threads)\n", threads)
 	fmt.Fprintf(&b, "%-16s %-28s %-10s %-10s %s\n", "benchmark", "contended spin locks", "acquired", "queued", "call sites")
-	for _, bench := range AllWISBenches() {
-		var report []ContentionRow
-		Run(Config{
+	benches := AllWISBenches()
+	reports := make([][]ContentionRow, len(benches))
+	cfgs := make([]Config, len(benches))
+	for i, bench := range benches {
+		cfgs[i] = Config{
 			Topo: topo, Costs: costs, Threads: threads, HorizonNs: sc.HorizonNs,
-			Build: WillItScaleInstrumented(bench, false, &report),
-		})
+			Build: WillItScaleInstrumented(bench, false, &reports[i]),
+		}
+	}
+	runAll(cfgs)
+	for i, bench := range benches {
 		first := true
-		for i := range report {
-			row := &report[i]
+		for j := range reports[i] {
+			row := &reports[i][j]
 			if !row.Contended() {
 				continue
 			}

@@ -174,7 +174,10 @@ func WillItScale(b WISBench, cna bool) Builder {
 
 // WillItScaleInstrumented is WillItScale with a contention report: after
 // the simulation runs, *report holds one row per simulated kernel lock
-// (Table 1's content, measured rather than transcribed).
+// (Table 1's content, measured rather than transcribed). Its Builder
+// writes *report on every call, which breaks the Builder contract when
+// two runs share it: give each run its own report, as TableOne does, and
+// never pass the Builder to Sweep.
 func WillItScaleInstrumented(b WISBench, cna bool, report *[]ContentionRow) Builder {
 	p := paramsFor(b)
 	return func(s *memsim.Sim, threads int) OpFunc {

@@ -15,6 +15,9 @@ package simbench
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/memsim"
 	"repro/internal/numa"
@@ -27,7 +30,9 @@ import (
 type OpFunc func(th *memsim.T, op int)
 
 // Builder wires a workload into a fresh simulator: it allocates locks
-// and shared data, then returns the per-thread operation closure.
+// and shared data, then returns the per-thread operation closure. A
+// Builder keeps no state shared between calls: Sweep and the ablations
+// run several simulations at once.
 type Builder func(s *memsim.Sim, threads int) OpFunc
 
 // Result summarises one (workload, lock, threads) simulation.
@@ -111,14 +116,51 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// Sweep runs cfg.Build across the given thread counts and returns one
-// Result per count.
+// Sweep runs build across the given thread counts and returns one
+// Result per count, in the order of threadCounts. The runs are
+// independent and execute in parallel on up to GOMAXPROCS goroutines, so
+// build must keep no state shared between calls (see Builder); a panic
+// in any run re-panics in the caller's goroutine.
 func Sweep(topo numa.Topology, costs memsim.Costs, horizon uint64, threadCounts []int, build Builder) []Result {
-	out := make([]Result, 0, len(threadCounts))
-	for _, n := range threadCounts {
-		out = append(out, Run(Config{
-			Topo: topo, Costs: costs, Threads: n, HorizonNs: horizon, Build: build,
-		}))
+	cfgs := make([]Config, len(threadCounts))
+	for i, n := range threadCounts {
+		cfgs[i] = Config{Topo: topo, Costs: costs, Threads: n, HorizonNs: horizon, Build: build}
+	}
+	return runAll(cfgs)
+}
+
+// runAll runs independent simulations on up to GOMAXPROCS goroutines and
+// returns their Results in the order of cfgs; at GOMAXPROCS=1 they run
+// one after another. Each simulation is deterministic, so the Results do
+// not depend on how the runs spread over processors. If runs panic,
+// runAll waits for the others and re-panics in the caller's goroutine
+// with the value of the first in cfgs' order.
+func runAll(cfgs []Config) []Result {
+	out := make([]Result, len(cfgs))
+	panics := make([]any, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cfgs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cfgs) {
+					return
+				}
+				func() {
+					defer func() { panics[i] = recover() }()
+					out[i] = Run(cfgs[i])
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package simbench
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -322,5 +324,61 @@ func TestFigureRendering(t *testing.T) {
 	csv := fig.CSV()
 	if !strings.HasPrefix(csv, "threads,") {
 		t.Errorf("CSV rendering broken: %q", csv)
+	}
+}
+
+// TestSweepPanicSurfacesInCaller checks that a Builder panicking for one
+// thread count makes Sweep panic in the caller's goroutine with that
+// value, as a sequential loop would. A panic left in a worker goroutine
+// would end the test binary instead.
+func TestSweepPanicSurfacesInCaller(t *testing.T) {
+	type sentinel struct{ threads int }
+	build := func(s *memsim.Sim, n int) OpFunc {
+		if n == 2 {
+			panic(sentinel{n})
+		}
+		return KVMap(DefaultKVMap(), LockMCS)(s, n)
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Sweep(numa.TwoSocketXeonE5(), memsim.DefaultCosts2S(), 100_000, []int{1, 2, 4, 8}, build)
+	}()
+	if got != (sentinel{2}) {
+		t.Fatalf("Sweep panicked with %v, want %v", got, sentinel{2})
+	}
+}
+
+// TestSweepOrderIndependentOfProcs checks that a short sweep returns the
+// same Results, in the order of its thread counts, at GOMAXPROCS 1 and 2.
+func TestSweepOrderIndependentOfProcs(t *testing.T) {
+	sweep := func(procs int) []Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Sweep(numa.TwoSocketXeonE5(), memsim.DefaultCosts2S(), 200_000, []int{8, 1, 4, 2}, KVMap(DefaultKVMap(), LockCNA))
+	}
+	one, two := sweep(1), sweep(2)
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("Sweep at GOMAXPROCS 1 and 2 differ:\n%+v\n%+v", one, two)
+	}
+	for i, n := range []int{8, 1, 4, 2} {
+		if one[i].Threads != n {
+			t.Errorf("result %d is for %d threads, want %d", i, one[i].Threads, n)
+		}
+	}
+}
+
+// BenchmarkSimKVMap times the reference simulation of the repository
+// benchmark's sim-kvmap workload: the Figure 6 point (KV-map under CNA,
+// 36 threads on the 2-socket machine) at the full-scale 12 ms horizon.
+func BenchmarkSimKVMap(b *testing.B) {
+	cfg := Config{
+		Topo:      numa.TwoSocketXeonE5(),
+		Costs:     memsim.DefaultCosts2S(),
+		Threads:   36,
+		HorizonNs: FullScale().HorizonNs,
+		Build:     KVMap(DefaultKVMap(), LockCNA),
+	}
+	for b.Loop() {
+		Run(cfg)
 	}
 }
